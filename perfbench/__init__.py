@@ -1,0 +1,5 @@
+"""Repository benchmark: batch-ingest and live-serving workloads.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
