@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.reference import (
 )
 from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch
+import repro.sketch.kernels as kernels
 from repro.sketch.kernels import available_backends, numba_version
 from repro.sketch.topk import TopKTracker
 
@@ -335,15 +337,31 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
     )
 
 
+@contextmanager
+def _pinned_kernels(backend):
+    """Make ``backend`` the kernels that sketches built inside will run.
+
+    The platform picks the kernels, so the numpy leg on a numba host is
+    reached by pinning the one-shot import state of
+    :mod:`repro.sketch.kernels` to "no compiled module".  A sketch arms
+    the compiled path when it is built, so pinning construction suffices.
+    """
+    compiled = kernels.numba_kernels()
+    kernels._jit_module = compiled if backend == "numba" else None
+    try:
+        yield
+    finally:
+        kernels._jit_module = compiled
+
+
 def bench_backends(results, *, batches, trials, inner, rng):
     """Kernel-backend axis: numpy vs numba on the same sketch hot paths.
 
-    Sketches are constructed with an *explicit* ``backend=`` (explicit
-    beats the env override), so a CI run forced onto one backend through
-    ``REPRO_KERNEL_BACKEND`` still measures both sides of the axis.
-    Records carry ``backend`` + absolute ``seconds``/``updates_per_sec``;
-    ``check_regressions`` derives the numba-vs-numpy speedup from pairs of
-    records and requires >= 5x on insert when numba is importable.
+    Each leg builds its sketches under :func:`_pinned_kernels`, so a host
+    with numba measures both sides of the axis.  Records carry ``backend``
+    + absolute ``seconds``/``updates_per_sec``; ``check_regressions``
+    derives the numba-vs-numpy speedup from pairs of records and requires
+    >= 5x on insert when numba is importable.
     """
     for n in batches:
         keys = rng.integers(0, 10**12, size=n).astype(np.int64)
@@ -351,9 +369,8 @@ def bench_backends(results, *, batches, trials, inner, rng):
         for backend in available_backends():
 
             def make():
-                return CountSketch(
-                    NUM_TABLES, NUM_BUCKETS, seed=1, backend=backend
-                )
+                with _pinned_kernels(backend):
+                    return CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1)
 
             seconds = _best_seconds(
                 make, lambda sk: sk.insert(keys, values), trials=trials, inner=inner

@@ -175,7 +175,6 @@ def build_estimator(
     cold_threshold: float | None = None,
     storage: str = "float64",
     quantum: float | None = None,
-    backend: str | None = None,
 ) -> SketchEstimator:
     """Construct any of the four comparable estimators at a common budget.
 
@@ -184,17 +183,13 @@ def build_estimator(
     tables hold the same ``(K, R)`` shape at 2/4 bytes per counter and
     widen exactly on saturation.  All four methods accept it (the Cold
     Filter gate stays float — only its main sketch is quantized).
-    ``backend`` selects the kernel backend of the backing sketch
-    (:mod:`repro.sketch.kernels`): ``"numpy"``, ``"numba"`` or ``"auto"``;
-    ``None`` defers to ``$REPRO_KERNEL_BACKEND`` / auto-detection.
-    Backends change throughput only — estimates stay bit-identical.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     common = dict(
         track_top=track_top, two_sided=two_sided, observer=observer
     )
-    tier = dict(dtype=storage, quantum=quantum, backend=backend)
+    tier = dict(dtype=storage, quantum=quantum)
     if method == "ascs":
         if plan is None:
             raise ValueError("method='ascs' requires a plan (run Algorithm 3 first)")
@@ -298,7 +293,6 @@ def sketch_correlations(
     decay: float | None = None,
     storage: str = "float64",
     quantum: float | None = None,
-    backend: str | None = None,
     seed: int = 0,
 ) -> SketchResult:
     """One-pass sparse correlation estimation with a memory budget.
@@ -333,11 +327,6 @@ def sketch_correlations(
         4x the buckets of float64 at the same byte budget — widening
         exactly on saturation; :func:`repro.sketch.planner.plan` picks
         these (plus ``K``/``R``) from a byte budget directly.
-    backend:
-        Kernel backend of the backing sketch
-        (:mod:`repro.sketch.kernels`): ``"numpy"``, ``"numba"`` or
-        ``"auto"``; ``None`` defers to ``$REPRO_KERNEL_BACKEND`` / auto.
-        Throughput only — results are bit-identical across backends.
 
     Returns
     -------
@@ -369,7 +358,6 @@ def sketch_correlations(
             two_sided=two_sided,
             storage=storage,
             quantum=quantum,
-            backend=backend,
         )
         sketcher.fit_dense(dense)
         i, j, estimates = sketcher.top_pairs(top_k)
@@ -422,7 +410,6 @@ def sketch_correlations(
         track_top=max(4 * top_k, 64),
         storage=storage,
         quantum=quantum,
-        backend=backend,
     )
     sketcher = CovarianceSketcher(
         d, estimator, mode=mode, centering="none", batch_size=batch_size

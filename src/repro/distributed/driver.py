@@ -179,7 +179,6 @@ def fit_sparse_sharded(
     two_sided: bool = False,
     storage: str = "float64",
     quantum: float | None = None,
-    kernel_backend: str = "auto",
     schedule: ThresholdSchedule | tuple | None = None,
     n_workers: int = 1,
     backend: str = "serial",
@@ -209,11 +208,6 @@ def fit_sparse_sharded(
         — part of the shared spec, so all shards store counters in the
         same unit and the reducer's summation stays exact (quantized
         shards widen on merge instead of wrapping).
-    kernel_backend:
-        Kernel backend of every shard's sketch
-        (:mod:`repro.sketch.kernels`).  Unlike ``storage`` it is *not*
-        merge-fingerprinted — backends are bit-identical — so the default
-        ``"auto"`` simply lets each worker take its fastest path.
     schedule:
         A :class:`repro.core.ThresholdSchedule` or its
         ``(exploration_length, tau0, theta, total_samples)`` tuple.
@@ -268,7 +262,6 @@ def fit_sparse_sharded(
         two_sided=two_sided,
         storage=storage,
         quantum=quantum,
-        backend=kernel_backend,
         schedule=schedule,
     )
     partition = partition_batches(n, batch_size, n_workers)

@@ -30,7 +30,7 @@ versus the unsharded run).
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Sequence
 
 from repro.covariance.pipeline import CovarianceSketcher
@@ -40,20 +40,12 @@ __all__ = ["merge_shard_results"]
 
 
 def _check_uniform_specs(shards: Sequence[ShardResult]) -> ShardSpec:
-    """All shards must share one spec; report the first differing field.
-
-    The kernel ``backend`` is exempt: it is runtime configuration, not
-    sketch state — backends are bit-identical, so shards produced on hosts
-    with different backends (or restored from pre-backend files, which pin
-    ``"numpy"``) merge exactly.
-    """
+    """All shards must share one spec; report the first differing field."""
     spec = shards[0].spec
     for shard in shards[1:]:
-        if replace(shard.spec, backend=spec.backend) == spec:
+        if shard.spec == spec:
             continue
         for f in fields(ShardSpec):
-            if f.name == "backend":
-                continue
             a, b = getattr(spec, f.name), getattr(shard.spec, f.name)
             if a != b:
                 raise ValueError(

@@ -44,7 +44,6 @@ from repro.durability.integrity import verify_arrays, write_npz
 from repro.hashing.pairs import num_pairs
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.hierarchical import HierarchicalCountSketch
-from repro.sketch.kernels import VALID_BACKENDS
 
 __all__ = [
     "ShardSpec",
@@ -97,13 +96,6 @@ class ShardSpec:
         ``"float32"``, or quantized ``"int16"``/``"int32"`` with a
         fixed-point ``quantum``.  Part of the merge fingerprint — every
         shard must store counters in the same unit.
-    backend:
-        Kernel backend of the backing sketch
-        (:mod:`repro.sketch.kernels`): ``"auto"`` (default), ``"numpy"``
-        or ``"numba"``.  Runtime configuration, *not* part of the merge
-        fingerprint — backends are bit-identical, so shards built on
-        different backends merge exactly.  ``"auto"`` lets each worker
-        pick its fastest available path independently.
     mode, batch_size, std_floor:
         :class:`repro.covariance.CovarianceSketcher` parameters.
     track_top, two_sided:
@@ -123,7 +115,6 @@ class ShardSpec:
     family: str = "multiply-shift"
     storage: str = "float64"
     quantum: float | None = None
-    backend: str = "auto"
     mode: str = "covariance"
     batch_size: int = 32
     std_floor: float = 1e-6
@@ -136,10 +127,6 @@ class ShardSpec:
     def __post_init__(self):
         if self.quantum is not None:
             object.__setattr__(self, "quantum", float(self.quantum))
-        if self.backend not in VALID_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
-            )
         if self.method not in MERGEABLE_METHODS:
             raise ValueError(
                 f"sharded ingestion supports methods {MERGEABLE_METHODS}; "
@@ -187,7 +174,6 @@ class ShardSpec:
                 family=self.family,
                 dtype=self.storage,
                 quantum=self.quantum,
-                backend=self.backend,
             )
         else:
             sketch = CountSketch(
@@ -197,7 +183,6 @@ class ShardSpec:
                 family=self.family,
                 dtype=self.storage,
                 quantum=self.quantum,
-                backend=self.backend,
             )
         common = dict(track_top=self.track_top, two_sided=self.two_sided)
         if self.method == "ascs":
@@ -334,7 +319,7 @@ def sketch_shard(
 # ----------------------------------------------------------------------
 # Serialisation (.npz, no pickling — mirrors repro.sketch.serialization)
 # ----------------------------------------------------------------------
-_SPEC_STR_FIELDS = ("method", "family", "storage", "backend", "mode")
+_SPEC_STR_FIELDS = ("method", "family", "storage", "mode")
 
 
 def spec_to_arrays(spec: ShardSpec, *, prefix: str = "spec_") -> dict:
@@ -369,13 +354,11 @@ def spec_to_arrays(spec: ShardSpec, *, prefix: str = "spec_") -> dict:
 def spec_from_arrays(data, *, prefix: str = "spec_") -> ShardSpec:
     """Rebuild a :class:`ShardSpec` from :func:`spec_to_arrays` output.
 
-    Members missing from ``data`` keep their dataclass defaults, so files
-    written before a spec field existed (e.g. pre-memory-tier shards with
-    no ``storage``/``quantum``) still load.  One exception: a missing
-    ``backend`` restores as ``"numpy"`` rather than the dataclass default
-    ``"auto"`` — such files predate the compiled kernels, and pinning the
-    path they actually ran keeps restored-state behaviour byte-for-byte
-    reproducible regardless of what the restoring host has installed.
+    Only the spec's current fields are read.  Members missing from
+    ``data`` keep their dataclass defaults, so files written before a
+    spec field existed (e.g. pre-memory-tier shards with no
+    ``storage``/``quantum``) still load, and members of fields that no
+    longer exist (the ``spec_backend`` older files carry) are ignored.
     """
     schedule_raw = data[prefix + "schedule"]
     schedule = (
@@ -394,8 +377,6 @@ def spec_from_arrays(data, *, prefix: str = "spec_") -> ShardSpec:
             continue
         member = prefix + f.name
         if member not in data:
-            if f.name == "backend":
-                spec_kwargs[f.name] = "numpy"
             continue
         raw = data[member]
         if f.name in _SPEC_STR_FIELDS:

@@ -154,6 +154,7 @@ class DurableSketcher:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         recipe_path = self.directory / _RECIPE
+        fresh = None
         if recipe_path.exists():
             self._load_recipe(recipe_path, spec, num_panes, pane_samples)
         else:
@@ -170,6 +171,9 @@ class DurableSketcher:
             self.num_panes = num_panes
             self.pane_samples = pane_samples
             self.retain_raw = bool(retain_raw)
+            # Build the write side before the recipe exists: a spec that
+            # cannot build must not bind the directory to itself.
+            fresh = self._fresh_inner()
             self._write_recipe(recipe_path)
         self.windowed = self.num_panes is not None
         self.checkpoint_every = (
@@ -189,7 +193,9 @@ class DurableSketcher:
             # and self-heal the recipe, so recovery always lands on
             # exactly one side of the migration, never a hybrid.
             self._adopt_checkpoint_config(inner)
-        self._inner = inner if inner is not None else self._fresh_inner()
+        if inner is None:
+            inner = fresh if fresh is not None else self._fresh_inner()
+        self._inner = inner
         self.checkpoint_seq = ckpt_seq
         self.recovered_from = ckpt_id
         self._next_ckpt = self._next_checkpoint_id()

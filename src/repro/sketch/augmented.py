@@ -44,9 +44,6 @@ class AugmentedSketch(ValueSketch):
         Counter storage of the backing :class:`CountSketch` (see
         :mod:`repro.sketch.storage`); the exact filter keeps float64
         precision regardless — it holds only ``filter_capacity`` values.
-    backend:
-        Kernel backend of the backing :class:`CountSketch` (see
-        :mod:`repro.sketch.kernels`); the filter itself is a dict.
     """
 
     def __init__(
@@ -61,13 +58,12 @@ class AugmentedSketch(ValueSketch):
         two_sided: bool = False,
         dtype=np.float64,
         quantum: float | None = None,
-        backend: str | None = None,
     ):
         if filter_capacity < 1:
             raise ValueError(f"filter_capacity must be >= 1, got {filter_capacity}")
         self.sketch = CountSketch(
             num_tables, num_buckets, seed=seed, family=family,
-            dtype=dtype, quantum=quantum, backend=backend,
+            dtype=dtype, quantum=quantum,
         )
         self.filter_capacity = int(filter_capacity)
         self.exchange_every = max(1, int(exchange_every))

@@ -48,9 +48,6 @@ class ColdFilterSketch(ValueSketch):
         conservative-update clamp is a non-linear in-place pass that
         quantized storage cannot express (and it is already charged at a
         quarter-float per counter in the budget accounting).
-    backend:
-        Kernel backend of the main :class:`CountSketch`; the gate's
-        conservative update always runs on the numpy path.
     """
 
     def __init__(
@@ -65,13 +62,12 @@ class ColdFilterSketch(ValueSketch):
         family: str = "multiply-shift",
         dtype=np.float64,
         quantum: float | None = None,
-        backend: str | None = None,
     ):
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.sketch = CountSketch(
             num_tables, num_buckets, seed=seed, family=family,
-            dtype=dtype, quantum=quantum, backend=backend,
+            dtype=dtype, quantum=quantum,
         )
         self.threshold = float(threshold)
         gate_r = int(filter_buckets) if filter_buckets else num_buckets

@@ -17,7 +17,7 @@ from repro.sketch.base import (
     reject_readonly_counters,
     validate_batch,
 )
-from repro.sketch.kernels import numba_kernels, resolve_backend
+from repro.sketch.kernels import jit_target, numba_available
 from repro.sketch.storage import CounterStore
 
 __all__ = ["CountMinSketch"]
@@ -42,10 +42,6 @@ class CountMinSketch(ValueSketch):
         Conservative update and ``cap`` both clamp counters through
         non-linear in-place passes expressed in raw units, so they require
         plain float storage; combining them with a quantized dtype raises.
-    backend:
-        Kernel backend, as for :class:`repro.sketch.CountSketch`.  The
-        compiled path covers the linear (non-conservative) insert and the
-        min-of-tables query; conservative update stays on numpy.
     """
 
     def __init__(
@@ -59,7 +55,6 @@ class CountMinSketch(ValueSketch):
         cap: float | None = None,
         dtype=np.float64,
         quantum: float | None = None,
-        backend: str | None = None,
     ):
         if num_tables < 1:
             raise ValueError(f"num_tables must be >= 1, got {num_tables}")
@@ -93,14 +88,14 @@ class CountMinSketch(ValueSketch):
             [int(children[e].generate_state(1)[0]) for e in range(self.num_tables)],
         )
 
-        # Compiled-kernel plumbing (see CountSketch): only the fused
-        # multiply-shift family with float storage is eligible, and
-        # conservative update always stays on the numpy path.
-        self.backend = resolve_backend(backend)
+        # Compiled-kernel plumbing (see CountSketch): the compiled path
+        # covers the linear insert and the min-of-tables query of the
+        # fused multiply-shift family on float storage; conservative
+        # update always stays on the numpy path.
         self._jit_args = None
         bucket = getattr(self._hasher, "_bucket", None)
         if (
-            self.backend == "numba"
+            numba_available()
             and not self.conservative
             and self._store.quantum is None
             and hasattr(bucket, "_a")
@@ -119,18 +114,10 @@ class CountMinSketch(ValueSketch):
         """``(module, flat)`` for the compiled path, or ``None``."""
         if self._jit_args is None:
             return None
-        store = self._store
-        if store.quantum is not None or store.dtype != np.float64:
-            return None
-        raw = store.raw
-        if isinstance(raw, np.memmap):
-            return None
-        module = numba_kernels()
-        if module is None:  # pragma: no cover - unpickled without numba
-            return None
-        if flat_needed_writable:
-            reject_readonly_counters(raw)
-        return module, raw
+        jit = jit_target(self._store)
+        if jit is not None and flat_needed_writable:
+            reject_readonly_counters(jit[1])
+        return jit
 
     @property
     def table(self) -> np.ndarray:
@@ -268,7 +255,6 @@ class CountMinSketch(ValueSketch):
             family=self.family,
             conservative=self.conservative,
             cap=self.cap,
-            backend=self.backend,
         )
         clone._store = self._store.copy()
         return clone

@@ -32,7 +32,7 @@ from repro.sketch.base import (
     reject_readonly_counters,
     validate_batch,
 )
-from repro.sketch.kernels import numba_kernels, resolve_backend
+from repro.sketch.kernels import jit_target, numba_available
 from repro.sketch.storage import CounterStore
 
 __all__ = ["CountSketch"]
@@ -107,13 +107,6 @@ class CountSketch(ValueSketch):
         Fixed-point step for quantized storage
         (:data:`repro.sketch.storage.DEFAULT_QUANTUM` when omitted for an
         integer dtype).
-    backend:
-        Kernel backend for the hot paths (see
-        :mod:`repro.sketch.kernels`): ``"numpy"``, ``"numba"`` or
-        ``"auto"`` (the default; the ``REPRO_KERNEL_BACKEND`` env var
-        overrides an unset argument).  The compiled backend is
-        bit-identical to numpy and falls back to it gracefully when
-        numba is absent; runtime configuration only — never serialised.
     """
 
     def __init__(
@@ -125,7 +118,6 @@ class CountSketch(ValueSketch):
         family: str = "multiply-shift",
         dtype=np.float64,
         quantum: float | None = None,
-        backend: str | None = None,
     ):
         if num_tables < 1:
             raise ValueError(f"num_tables must be >= 1, got {num_tables}")
@@ -166,15 +158,14 @@ class CountSketch(ValueSketch):
         self._cached_flat_indices: np.ndarray | None = None
         self._cached_signs: np.ndarray | None = None
 
-        # Compiled-kernel plumbing.  The resolved backend is runtime
-        # configuration (never serialised); _jit_args holds the flattened
-        # hash parameters the kernels consume, and stays None whenever
-        # this sketch cannot take the compiled path at all (non-fused
-        # family, quantized storage) so per-op checks stay cheap.
-        self.backend = resolve_backend(backend)
+        # Compiled-kernel plumbing: _jit_args holds the flattened hash
+        # parameters the kernels consume, and stays None whenever this
+        # sketch can never take the compiled path (numba absent, non-fused
+        # family, quantized storage), so the numpy path exits on one
+        # attribute check per operation.
         self._jit_args = None
         if (
-            self.backend == "numba"
+            numba_available()
             and self._hasher._combined_a is not None
             and self._store.quantum is None
         ):
@@ -272,16 +263,7 @@ class CountSketch(ValueSketch):
         """
         if self._jit_args is None or keys is self._cached_keys:
             return None
-        store = self._store
-        if store.quantum is not None or store.dtype != np.float64:
-            return None
-        raw = store.raw
-        if isinstance(raw, np.memmap):
-            return None
-        module = numba_kernels()
-        if module is None:  # pragma: no cover - unpickled without numba
-            return None
-        return module, raw
+        return jit_target(self._store)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -452,7 +434,6 @@ class CountSketch(ValueSketch):
             self.num_buckets,
             seed=self.seed,
             family=self.family,
-            backend=self.backend,
         )
         clone._store = self._store.copy()
         return clone

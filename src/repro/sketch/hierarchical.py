@@ -81,7 +81,7 @@ class HierarchicalCountSketch(ValueSketch):
     seed:
         Master seed; per-level hash seeds are spawned from it, so two
         hierarchies with equal parameters and seed are mergeable.
-    family, dtype, quantum, backend:
+    family, dtype, quantum:
         Forwarded to every level's :class:`CountSketch` (see there).
     """
 
@@ -98,7 +98,6 @@ class HierarchicalCountSketch(ValueSketch):
         family: str = "multiply-shift",
         dtype=np.float64,
         quantum: float | None = None,
-        backend: str | None = None,
     ):
         key_space = int(key_space)
         branching = int(branching)
@@ -137,7 +136,6 @@ class HierarchicalCountSketch(ValueSketch):
                 family=family,
                 dtype=dtype,
                 quantum=quantum,
-                backend=backend,
             )
             for child in children
         ]

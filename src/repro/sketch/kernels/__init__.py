@@ -1,9 +1,9 @@
-"""Kernel backend selection for the fused sketch hot paths.
+"""The fused sketch hot paths, and which implementation runs them.
 
 The scatter/gather/median loop is the entire ingest and query cost of the
 system, so it is worth compiling.  This package holds the two
-implementations of the hot primitives and the knob that picks between
-them:
+implementations of the hot primitives and is the only module that knows
+which one runs:
 
 * :mod:`repro.sketch.kernels.numpy_ref` — the executable specification.
   Standalone numpy implementations of the fused primitives (combined
@@ -16,83 +16,72 @@ them:
   arithmetic, identical accumulation order, so results are bit-identical
   to the numpy path (the conformance suite enforces this per backend).
 
-Backend selection
+Which kernels run
 -----------------
-``resolve_backend(requested)`` maps a request to a concrete backend:
+The platform decides: numba when :mod:`~repro.sketch.kernels.numba_jit`
+imports, numpy otherwise.  Nothing overrides it — both paths give
+bit-identical results, so there is nothing for a caller to choose.  The
+choice is never state either: it enters neither
+:func:`repro.sketch.serialization.sketch_to_arrays` nor a
+:class:`repro.distributed.ShardSpec`, so snapshots are byte-identical
+across hosts and a file written on one host loads on any other.
 
-* an explicit ``backend="numpy"|"numba"|"auto"`` argument wins;
-* otherwise the ``REPRO_KERNEL_BACKEND`` environment variable applies —
-  CI forces either path through it without touching call sites;
-* otherwise ``"auto"``: numba when importable, else numpy.
-
-Requesting ``"numba"`` when numba is not importable **falls back to
-numpy** instead of failing, and emits a one-time structured
-``kernels.fallback`` warning through :mod:`repro.obs` — never
-silent-crash, never silent-slow.  ``"auto"`` falls back silently (that
-is its contract).
-
-The backend is **runtime configuration, not state**: it never enters
-:func:`repro.sketch.serialization.sketch_to_arrays`, so snapshots are
-byte-identical across backends and a file written under one backend
-loads under the other.
+A host without numba is the normal numpy-only install and stays silent.
+Any other import failure — say, a numba build that rejects the installed
+numpy — is logged once as a structured ``kernels.numba_unavailable``
+warning carrying the exception text, so a host meant to be fast is never
+silently slow.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
 from repro.obs.log import get_logger
 
 __all__ = [
-    "VALID_BACKENDS",
-    "ENV_VAR",
-    "resolve_backend",
     "available_backends",
+    "jit_target",
     "numba_available",
-    "numba_version",
     "numba_kernels",
-    "reset_fallback_warning",
+    "numba_version",
+    "resolve_backend",
 ]
-
-#: Accepted values for the ``backend`` knob and the env override.
-VALID_BACKENDS = ("numpy", "numba", "auto")
-
-#: Environment override consulted when no explicit backend is passed.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 _log = get_logger(__name__)
 
-#: Lazy one-shot import state for the compiled module (tests monkeypatch
-#: these two to simulate numba presence/absence deterministically).
+#: Lazy one-shot import state for the compiled module (tests and the
+#: kernels bench patch these two to pin either leg deterministically).
 _jit_checked = False
 _jit_module = None
-
-#: One-time guard for the ``kernels.fallback`` warning event.
-_fallback_warned = False
 
 
 def numba_kernels():
     """The compiled kernel module, or ``None`` when numba is unavailable.
 
-    The import is attempted once per process; any failure (numba absent,
-    broken install) is treated as "unavailable" — callers fall back to
-    the numpy path rather than surfacing an import error from deep
-    inside an insert.
+    The import is attempted once per process.  numba not being installed
+    stays silent; any other failure is logged once as
+    ``kernels.numba_unavailable`` and also leaves the numpy path in charge.
     """
     global _jit_checked, _jit_module
     if not _jit_checked:
         _jit_checked = True
         try:
             from repro.sketch.kernels import numba_jit
-
+        except Exception as exc:
+            if not (isinstance(exc, ModuleNotFoundError) and exc.name == "numba"):
+                _log.warning(
+                    "kernels.numba_unavailable",
+                    error=f"{type(exc).__name__}: {exc}",
+                    using="numpy",
+                )
+        else:
             _jit_module = numba_jit
-        except Exception:
-            _jit_module = None
     return _jit_module
 
 
 def numba_available() -> bool:
-    """Whether the compiled backend can actually be used."""
+    """Whether the compiled kernels run in this process."""
     return numba_kernels() is not None
 
 
@@ -103,67 +92,33 @@ def numba_version() -> str | None:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Concrete backends usable in this process, numpy first."""
+    """Kernel implementations importable in this process, numpy first."""
     if numba_available():
         return ("numpy", "numba")
     return ("numpy",)
 
 
-def reset_fallback_warning() -> None:
-    """Re-arm the one-time fallback warning (test hook)."""
-    global _fallback_warned
-    _fallback_warned = False
+def resolve_backend(_requested: str = "auto") -> str:
+    """The backend this process runs: ``"numba"`` if importable, else ``"numpy"``.
 
-
-def _warn_fallback_once(requested_via: str) -> None:
-    global _fallback_warned
-    if _fallback_warned:
-        return
-    _fallback_warned = True
-    _log.warning(
-        "kernels.fallback",
-        requested="numba",
-        via=requested_via,
-        using="numpy",
-        reason="numba is not importable",
-        hint="pip install numba (the 'fast' extra) to enable the JIT backend",
-    )
-
-
-def _validated(value: str, source: str) -> str:
-    value = value.strip().lower()
-    if value not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {value!r} (from {source}); "
-            f"choose from {VALID_BACKENDS}"
-        )
-    return value
-
-
-def resolve_backend(requested: str | None = None) -> str:
-    """Resolve a backend request to a concrete ``"numpy"`` or ``"numba"``.
-
-    Precedence: an explicit ``requested`` string wins; with
-    ``requested=None`` the :data:`ENV_VAR` environment variable applies;
-    absent both, ``"auto"``.  ``"auto"`` resolves to numba when
-    importable and numpy otherwise (silently).  An explicit or
-    env-forced ``"numba"`` without numba installed resolves to numpy
-    and fires the one-time ``kernels.fallback`` warning.
+    The argument is ignored; it is accepted so that existing
+    ``resolve_backend("auto")`` calls keep working.
     """
-    via = "backend argument"
-    if requested is None:
-        env = os.environ.get(ENV_VAR)
-        if env:
-            requested = _validated(env, f"${ENV_VAR}")
-            via = f"${ENV_VAR}"
-        else:
-            requested = "auto"
-            via = "default"
-    else:
-        requested = _validated(requested, "backend argument")
-    if requested == "auto":
-        return "numba" if numba_available() else "numpy"
-    if requested == "numba" and not numba_available():
-        _warn_fallback_once(via)
-        return "numpy"
-    return requested
+    return "numba" if numba_available() else "numpy"
+
+
+def jit_target(store):
+    """``(module, flat)`` when the compiled kernels can run on ``store``.
+
+    The one eligibility test every sketch shares: numba importable and
+    plain float64 counters — not quantized, not widened, not mmap-backed
+    (serving snapshots).  Returns ``None`` otherwise, and the caller takes
+    its bit-identical numpy path.
+    """
+    module = numba_kernels()
+    if module is None or store.quantum is not None or store.dtype != np.float64:
+        return None
+    raw = store.raw
+    if isinstance(raw, np.memmap):
+        return None
+    return module, raw

@@ -1,8 +1,8 @@
 """Numba-compiled fused sketch kernels.
 
 Importing this module requires numba; import it through
-:func:`repro.sketch.kernels.numba_kernels`, which treats any import
-failure as "backend unavailable" and lets callers fall back to numpy.
+:func:`repro.sketch.kernels.numba_kernels`, which leaves the numpy path
+in charge when the import fails.
 
 Every kernel implements the contract documented in
 :mod:`repro.sketch.kernels.numpy_ref` with **bit-identical** results:

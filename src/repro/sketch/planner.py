@@ -32,7 +32,6 @@ import numpy as np
 from repro.hashing.pairs import num_pairs
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.hierarchical import HierarchicalCountSketch
-from repro.sketch.kernels import resolve_backend
 from repro.sketch.storage import STORAGE_DTYPES, resolve_storage
 
 __all__ = ["CapacityPlan", "ObservedSignals", "Replan", "plan", "replan"]
@@ -91,14 +90,6 @@ class CapacityPlan:
         (each level is a full ``K x R`` table), buying open-world
         ``find_heavy`` discovery at the cost of ``1/levels`` of the
         buckets — the depth-vs-width trade the planner makes explicit.
-    kernel_backend:
-        The kernel backend the built sketch will run on
-        (:mod:`repro.sketch.kernels`), resolved at planning time from
-        ``$REPRO_KERNEL_BACKEND`` / auto-detection.  Informational for
-        throughput expectations only — estimates are bit-identical across
-        backends, so the capacity math above does not depend on it.  Note
-        the compiled path only engages on float64 storage: quantized plans
-        (int16/int32) run the numpy path regardless.
     """
 
     n_features: int
@@ -114,7 +105,6 @@ class CapacityPlan:
     quantization_step_rel: float
     levels: int = 1
     branching: int = 16
-    kernel_backend: str = "numpy"
 
     @property
     def total_counters(self) -> int:
@@ -124,23 +114,14 @@ class CapacityPlan:
     def predicted_total_bytes(self) -> int:
         return int(self.total_counters * self.predicted_bytes_per_counter)
 
-    def build_sketch(
-        self,
-        *,
-        seed: int = 0,
-        family: str = "multiply-shift",
-        backend: str | None = None,
-    ):
+    def build_sketch(self, *, seed: int = 0, family: str = "multiply-shift"):
         """A sketch following this plan.
 
         Flat plans (``levels == 1``) build a
         :class:`~repro.sketch.CountSketch`; deeper plans build a
         :class:`~repro.sketch.HierarchicalCountSketch` over the pair-key
-        space, ready for open-world ``find_heavy`` discovery.  ``backend``
-        overrides the kernel backend (default: the plan's resolved
-        :attr:`kernel_backend`).
+        space, ready for open-world ``find_heavy`` discovery.
         """
-        resolved = self.kernel_backend if backend is None else backend
         if self.levels > 1:
             return HierarchicalCountSketch(
                 self.num_tables,
@@ -152,7 +133,6 @@ class CapacityPlan:
                 family=family,
                 dtype=self.storage,
                 quantum=self.quantum,
-                backend=resolved,
             )
         return CountSketch(
             self.num_tables,
@@ -161,7 +141,6 @@ class CapacityPlan:
             family=family,
             dtype=self.storage,
             quantum=self.quantum,
-            backend=resolved,
         )
 
     def measured_bytes_per_counter(self, sketch) -> float:
@@ -187,21 +166,7 @@ class CapacityPlan:
             "predicted_snr_gain_db": self.predicted_snr_gain_db,
             "levels": self.levels,
             "branching": self.branching,
-            "kernel_backend": self.kernel_backend,
-            "throughput_note": self.throughput_note,
         }
-
-    @property
-    def throughput_note(self) -> str:
-        """One-line expectation of which code path inserts will take."""
-        if self.kernel_backend == "numba" and self.storage == "float64":
-            return "inserts run the compiled (numba) kernels"
-        if self.kernel_backend == "numba":
-            return (
-                f"numba resolved, but {self.storage} storage runs the "
-                "numpy path (compiled kernels require float64 counters)"
-            )
-        return "inserts run the vectorised numpy kernels"
 
 
 def plan(
@@ -331,7 +296,6 @@ def plan(
 
     gain = num_buckets / buckets_f64
     return CapacityPlan(
-        kernel_backend=resolve_backend(None),
         n_features=int(n_features),
         num_pairs=int(num_pairs(int(n_features))),
         budget_bytes=budget_bytes,

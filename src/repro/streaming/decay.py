@@ -309,7 +309,6 @@ def make_decaying_sketcher(
     two_sided: bool = False,
     storage: str = "float64",
     quantum: float | None = None,
-    backend: str | None = None,
     registry: MetricsRegistry | None = None,
 ) -> DecayingSketcher:
     """One-call factory: decayed count sketch + estimator + pipeline.
@@ -325,8 +324,6 @@ def make_decaying_sketcher(
     memory; quantized (int16/int32) backings are rejected by
     :class:`~repro.sketch.DecayedSketch` — decayed inserts store values
     scaled by ``1/gamma^ticks``, which outgrows any fixed-point range.
-    ``backend`` selects the kernel backend of the inner sketch
-    (:mod:`repro.sketch.kernels`).
     """
     if (gamma is None) == (half_life is None):
         raise ValueError("specify exactly one of gamma and half_life")
@@ -335,7 +332,7 @@ def make_decaying_sketcher(
     sketch = DecayedSketch(
         CountSketch(
             num_tables, num_buckets, seed=seed, family=family,
-            dtype=storage, quantum=quantum, backend=backend,
+            dtype=storage, quantum=quantum,
         ),
         gamma,
     )

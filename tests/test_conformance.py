@@ -27,7 +27,6 @@ non-mergeability with a reason.
 import numpy as np
 import pytest
 
-import repro.sketch.kernels as kernels
 from repro.sketch.cold_filter import ColdFilterSketch
 from repro.sketch.kernels import available_backends
 from repro.sketch.serialization import (
@@ -44,15 +43,15 @@ BACKENDS = available_backends()
 
 
 @pytest.fixture(params=BACKENDS, autouse=True)
-def kernel_backend(request, monkeypatch):
+def kernel_backend(request, pin_kernels):
     """Run the whole conformance net once per importable kernel backend.
 
-    The registry factories build sketches without an explicit ``backend=``,
-    so forcing the environment knob routes every contract — round-trip,
-    freeze, merge law, corruption — through that backend's hot paths.
-    Locally this may collapse to numpy alone; the CI numba leg runs both.
+    Pinning the kernels before the registry factories build their
+    sketches routes every contract — round-trip, freeze, merge law,
+    corruption — through that backend's hot paths.  Locally this may
+    collapse to numpy alone; the CI numba leg runs both.
     """
-    monkeypatch.setenv(kernels.ENV_VAR, request.param)
+    pin_kernels(request.param)
     return request.param
 
 
@@ -364,23 +363,23 @@ class TestCorruptionDetection:
 
 class TestCrossBackendBitIdentity:
     """Every registered kind must leave byte-identical state and answers on
-    every importable backend — the backend is a throughput knob, never an
-    accuracy knob.  One-backend hosts trivially pass with a single entry;
+    every importable backend — the kernels change throughput, never
+    answers.  One-backend hosts trivially pass with a single entry;
     the CI numba leg turns these into real numpy-vs-numba comparisons.
     """
 
-    def _fitted(self, name, backend, monkeypatch, *, seed_stream=777):
-        monkeypatch.setenv(kernels.ENV_VAR, backend)
+    def _fitted(self, name, backend, pin_kernels, *, seed_stream=777):
+        pin_kernels(backend)
         sketch = _make(name, seed=41)
         rng = np.random.default_rng(seed_stream)
         _insert_stream(sketch, *_stream(rng))
         return sketch
 
     @pytest.mark.parametrize("name", sorted(KINDS))
-    def test_insert_and_query_identical(self, name, monkeypatch):
+    def test_insert_and_query_identical(self, name, pin_kernels):
         probe = np.random.default_rng(778).integers(0, 5000, size=400)
         sketches = [
-            self._fitted(name, backend, monkeypatch) for backend in BACKENDS
+            self._fitted(name, backend, pin_kernels) for backend in BACKENDS
         ]
         reference = sketches[0]
         expected = reference.query(probe)
@@ -389,14 +388,14 @@ class TestCrossBackendBitIdentity:
             np.testing.assert_array_equal(other.query(probe), expected)
 
     @pytest.mark.parametrize("name", sorted(KINDS))
-    def test_combined_insert_and_query_identical(self, name, monkeypatch):
+    def test_combined_insert_and_query_identical(self, name, pin_kernels):
         if not hasattr(KINDS[name].cls, "insert_and_query"):
             pytest.skip(f"kind {name!r} has no combined insert_and_query")
         live_rng = np.random.default_rng(555)
         live_keys, live_values = _stream(live_rng, n=300)
         outputs, sketches = [], []
         for backend in BACKENDS:
-            sketch = self._fitted(name, backend, monkeypatch)
+            sketch = self._fitted(name, backend, pin_kernels)
             outputs.append(sketch.insert_and_query(live_keys, live_values))
             sketches.append(sketch)
         for estimates, sketch in zip(outputs[1:], sketches[1:]):
@@ -404,12 +403,12 @@ class TestCrossBackendBitIdentity:
             _assert_state_equal(sketch, sketches[0])
 
     @pytest.mark.parametrize("name", sorted(KINDS))
-    def test_merged_state_identical(self, name, monkeypatch):
+    def test_merged_state_identical(self, name, pin_kernels):
         if KINDS[name].merge_law == "unsupported":
             pytest.skip(f"kind {name!r} declares merging unsupported")
         merged = []
         for backend in BACKENDS:
-            monkeypatch.setenv(kernels.ENV_VAR, backend)
+            pin_kernels(backend)
             rng = np.random.default_rng(911)
             keys, values = _stream(rng, n=600, integral=True)
             a = _make(name, seed=43)

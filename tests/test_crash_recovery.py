@@ -448,6 +448,33 @@ class TestDurableCheckpoints:
         with pytest.raises(ValueError, match="differs from the persisted"):
             DurableSketcher(tmp_path, other)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"num_buckets": 0},
+            {"batch_size": 0},
+            {"storage": "int16", "quantum": float("nan")},
+        ],
+        ids=["zero-buckets", "zero-batch", "nan-quantum"],
+    )
+    def test_unbuildable_spec_leaves_directory_unbound(self, bad, tmp_path):
+        """A spec that cannot build is refused before ``spec.npz`` exists,
+        so the corrected spec still opens the same directory."""
+        spec = SPECS["float64"]
+        with pytest.raises(ValueError):
+            DurableSketcher(tmp_path, spec_with(spec, **bad))
+        assert not (tmp_path / "spec.npz").exists()
+        batches = _batches(spec, num_batches=3)
+        with DurableSketcher(tmp_path, spec) as durable:
+            for batch in batches:
+                durable.fit_sparse(batch)
+        reopened = DurableSketcher(tmp_path, spec)
+        reopened.close()
+        reference = spec.build_sketcher()
+        for batch in batches:
+            reference.fit_sparse(iter(batch))
+        _assert_bit_identical(reopened, reference, spec)
+
     def test_dense_ingest_is_refused(self, tmp_path):
         durable = DurableSketcher(tmp_path, SPECS["float64"])
         with pytest.raises(NotImplementedError, match="sparse-only"):

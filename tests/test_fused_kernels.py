@@ -23,7 +23,6 @@ from repro.reference import (
     LegacyTopKTracker,
     legacy_sparse_batch_pairs,
 )
-import repro.sketch.kernels as kernels
 from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch, _median_axis0
 from repro.sketch.kernels import available_backends, numba_available, numpy_ref
@@ -37,15 +36,13 @@ needs_numba = pytest.mark.skipif(
 
 
 @pytest.fixture(params=available_backends())
-def backend_env(request, monkeypatch):
-    """Repeat the dependent test under every importable kernel backend.
+def kernel_leg(request, pin_kernels):
+    """Repeat the dependent test on every importable kernel implementation.
 
-    Forces the backend through the environment knob, so the sketches the
-    test constructs (without an explicit ``backend=``) take that path —
-    exactly how the CI matrix drives the suite.  Locally this may collapse
-    to the numpy path alone; the numba leg runs both.
+    The sketches the test builds run on the pinned kernels.  Locally this
+    may collapse to the numpy path alone; the numba leg runs both.
     """
-    monkeypatch.setenv(kernels.ENV_VAR, request.param)
+    pin_kernels(request.param)
     return request.param
 
 
@@ -115,7 +112,7 @@ class TestCountSketchEquivalence:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("num_tables", [1, 5])
     def test_insert_query_bit_identical(
-        self, family, dtype, num_tables, backend_env, rng
+        self, family, dtype, num_tables, kernel_leg, rng
     ):
         fused = CountSketch(num_tables, 2048, seed=7, family=family, dtype=dtype)
         legacy = LegacyCountSketch(
@@ -143,7 +140,7 @@ class TestCountSketchEquivalence:
         np.testing.assert_array_equal(fused.table, legacy.table)
         np.testing.assert_array_equal(fused.query(keys[:100]), legacy.query(keys[:100]))
 
-    def test_non_power_of_two_buckets(self, backend_env, rng):
+    def test_non_power_of_two_buckets(self, kernel_leg, rng):
         fused = CountSketch(3, 1000, seed=5)
         legacy = LegacyCountSketch(3, 1000, seed=5)
         keys = rng.integers(0, 10**12, size=5000)
@@ -152,7 +149,7 @@ class TestCountSketchEquivalence:
         legacy.insert(keys, values)
         np.testing.assert_array_equal(fused.table, legacy.table)
 
-    def test_cached_keys_bit_identical(self, backend_env, rng):
+    def test_cached_keys_bit_identical(self, kernel_leg, rng):
         keys = np.arange(3000, dtype=np.int64)
         values = rng.standard_normal(3000)
         fused = CountSketch(5, 1024, seed=9)
@@ -181,7 +178,7 @@ class TestCountSketchEquivalence:
         assert not sk._flat.any()
 
     @pytest.mark.parametrize("cls", [CountSketch, CountMinSketch])
-    def test_pickle_rebuilds_flat_view(self, cls, backend_env, rng):
+    def test_pickle_rebuilds_flat_view(self, cls, kernel_leg, rng):
         import pickle
 
         sk = cls(3, 256, seed=5)
@@ -233,9 +230,10 @@ class TestKernelModuleParity:
     @pytest.mark.parametrize("num_buckets", [1024, 1000])  # pow2 and not
     @pytest.mark.parametrize("num_tables", [1, 3, 5])
     def test_numpy_ref_matches_inline_count_sketch(
-        self, num_tables, num_buckets, rng
+        self, num_tables, num_buckets, rng, pin_kernels
     ):
-        sk = CountSketch(num_tables, num_buckets, seed=17, backend="numpy")
+        pin_kernels("numpy")
+        sk = CountSketch(num_tables, num_buckets, seed=17)
         a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
         flat = np.zeros(num_tables * num_buckets)
         for keys, values in _key_batches(rng):
@@ -280,8 +278,9 @@ class TestKernelModuleParity:
         np.testing.assert_array_equal(out_live, est)
 
     @pytest.mark.parametrize("num_buckets", [512, 500])
-    def test_numpy_ref_matches_inline_count_min(self, num_buckets, rng):
-        cm = CountMinSketch(3, num_buckets, seed=19, backend="numpy")
+    def test_numpy_ref_matches_inline_count_min(self, num_buckets, rng, pin_kernels):
+        pin_kernels("numpy")
+        cm = CountMinSketch(3, num_buckets, seed=19)
         a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
         flat = np.zeros(3 * num_buckets)
         for keys, values in _key_batches(rng):
@@ -317,7 +316,7 @@ class TestNumbaModuleParity:
     def test_cs_kernels_bit_identical(self, num_tables, num_buckets, rng):
         from repro.sketch.kernels import numba_jit
 
-        sk = CountSketch(num_tables, num_buckets, seed=23, backend="numpy")
+        sk = CountSketch(num_tables, num_buckets, seed=23)
         a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
         flat_np = np.zeros(num_tables * num_buckets)
         flat_nb = np.zeros(num_tables * num_buckets)
@@ -350,7 +349,7 @@ class TestNumbaModuleParity:
     def test_cm_kernels_bit_identical(self, num_buckets, rng):
         from repro.sketch.kernels import numba_jit
 
-        cm = CountMinSketch(3, num_buckets, seed=29, backend="numpy")
+        cm = CountMinSketch(3, num_buckets, seed=29)
         a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
         flat_np = np.zeros(3 * num_buckets)
         flat_nb = np.zeros(3 * num_buckets)
@@ -373,7 +372,7 @@ class TestNumbaModuleParity:
         # Tie-heavy and NaN-poisoned tables: the scalar min/max pairs in
         # the compiled networks must pick the same operand numpy does.
         for num_tables in (1, 3, 5):
-            sk = CountSketch(num_tables, 64, seed=31, backend="numpy")
+            sk = CountSketch(num_tables, 64, seed=31)
             a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
             flat = rng.integers(-2, 3, size=num_tables * 64).astype(np.float64)
             flat[rng.integers(0, flat.size, size=5)] = np.nan
@@ -406,7 +405,7 @@ class TestCountMinEquivalence:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("conservative", [False, True])
     def test_insert_query_bit_identical(
-        self, family, conservative, backend_env, rng
+        self, family, conservative, kernel_leg, rng
     ):
         fused = CountMinSketch(
             3, 512, seed=4, family=family, conservative=conservative

@@ -1,58 +1,56 @@
-"""The kernel-backend knob: resolution precedence, fallback, integration.
+"""Which kernels run: platform detection, eligibility, and what stays out of state.
 
-The compiled (numba) backend is optional: these tests exercise the knob's
-*selection contract* deterministically by monkeypatching the package's
-one-shot import state, so they pass identically whether or not numba is
-installed.  Bit-identity of the compiled kernels themselves is enforced by
-``tests/test_fused_kernels.py`` and the conformance suite, which
-parametrize over the backends actually importable in the running process.
+The compiled (numba) kernels are optional, and the platform alone decides
+whether they run.  These tests pin the package's one-shot import state to
+simulate numba's presence or absence, so they pass identically whether or
+not numba is installed.  Bit-identity of the compiled kernels themselves is
+enforced by ``tests/test_fused_kernels.py`` and the conformance suite,
+which repeat over the implementations importable in the running process.
 """
 
+import builtins
 import io
 import json
 import logging
 import pickle
 import types
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.sketch.kernels as kernels
-from repro.core.api import build_estimator
 from repro.distributed import (
     ShardSpec,
     merge_shard_results,
     sketch_shard,
 )
-from repro.distributed.shard import spec_from_arrays, spec_to_arrays
+from repro.distributed.shard import (
+    extract_shard_result,
+    load_shard_result,
+    save_shard_result,
+    spec_from_arrays,
+    spec_to_arrays,
+)
+from repro.durability import DurableSketcher
+from repro.durability.integrity import INTEGRITY_MEMBERS, write_npz
 from repro.obs.log import configure
+from repro.serving import ServingEstimator
 from repro.sketch import (
-    AugmentedSketch,
-    ColdFilterSketch,
     CountMinSketch,
     CountSketch,
-    HierarchicalCountSketch,
     available_backends,
     plan,
     resolve_backend,
     save_sketch,
 )
-from repro.sketch.planner import CapacityPlan
 from repro.sketch.serialization import sketch_to_arrays
+from repro.sketch.storage import CounterStore
+from repro.streaming import PaneRing
 
 #: Stand-in for the compiled module: enough surface for selection logic
 #: (never called — eligibility tests stop before any kernel runs).
 _FAKE_JIT = types.SimpleNamespace(NUMBA_VERSION="0.0-fake")
-
-
-@pytest.fixture(autouse=True)
-def clean_backend_env(monkeypatch):
-    """Neutral selection state: no env override, fallback warning armed."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels.reset_fallback_warning()
-    yield
-    kernels.reset_fallback_warning()
 
 
 @pytest.fixture
@@ -71,50 +69,28 @@ def _force_numba(monkeypatch, module):
     monkeypatch.setattr(kernels, "_jit_module", module)
 
 
+def _fail_numba_import(monkeypatch, exc):
+    """Re-arm the one-shot import and make it raise ``exc``."""
+    real_import = builtins.__import__
+
+    def failing_import(name, globals=None, locals=None, fromlist=(), level=0):
+        if name == "repro.sketch.kernels" and "numba_jit" in (fromlist or ()):
+            raise exc
+        return real_import(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", failing_import)
+    monkeypatch.setattr(kernels, "_jit_checked", False)
+    monkeypatch.setattr(kernels, "_jit_module", None)
+
+
 class TestResolveBackend:
     def test_default_is_auto(self, monkeypatch):
         _force_numba(monkeypatch, None)
         assert resolve_backend() == "numpy"
         _force_numba(monkeypatch, _FAKE_JIT)
         assert resolve_backend() == "numba"
-
-    def test_explicit_values(self, monkeypatch):
-        _force_numba(monkeypatch, _FAKE_JIT)
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("numba") == "numba"
+        # The spelling callers used when the backend was a setting.
         assert resolve_backend("auto") == "numba"
-
-    def test_normalisation(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("  NumPy ") == "numpy"
-
-    def test_invalid_argument_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("cuda")
-
-    def test_env_overrides_default(self, monkeypatch):
-        _force_numba(monkeypatch, _FAKE_JIT)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert resolve_backend() == "numpy"
-        assert resolve_backend(None) == "numpy"
-
-    def test_invalid_env_raises_with_source(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match=kernels.ENV_VAR):
-            resolve_backend()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        # The bench and the cross-backend tests rely on this: under a
-        # CI-forced env they can still construct both backends explicitly.
-        _force_numba(monkeypatch, _FAKE_JIT)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert resolve_backend("numba") == "numba"
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_numba_request_without_numba_falls_back(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("numba") == "numpy"
 
     def test_availability_introspection(self, monkeypatch):
         _force_numba(monkeypatch, None)
@@ -128,116 +104,102 @@ class TestResolveBackend:
 
 
 class TestFallbackWarning:
-    def test_fires_exactly_once(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("numba") == "numpy"
-        assert resolve_backend("numba") == "numpy"
-        lines = capture_log.getvalue().strip().splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["event"] == "kernels.fallback"
-        assert payload["level"] == "warning"
-        assert payload["requested"] == "numba"
-        assert payload["using"] == "numpy"
-        assert payload["via"] == "backend argument"
-
-    def test_env_fallback_names_the_variable(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        assert resolve_backend() == "numpy"
-        payload = json.loads(capture_log.getvalue().strip())
-        assert payload["via"] == f"${kernels.ENV_VAR}"
+    """numba not installed is silent; numba installed but broken warns once."""
 
     def test_auto_fallback_is_silent(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        assert resolve_backend("auto") == "numpy"
+        _fail_numba_import(
+            monkeypatch, ModuleNotFoundError("No module named 'numba'", name="numba")
+        )
+        assert kernels.numba_kernels() is None
         assert resolve_backend() == "numpy"
         assert capture_log.getvalue() == ""
 
-    def test_rearms_after_reset(self, monkeypatch, capture_log):
-        _force_numba(monkeypatch, None)
-        resolve_backend("numba")
-        kernels.reset_fallback_warning()
-        resolve_backend("numba")
-        assert len(capture_log.getvalue().strip().splitlines()) == 2
+    def test_fires_exactly_once(self, monkeypatch, capture_log):
+        exc = ImportError("Numba needs NumPy 2.2 or less. Got NumPy 2.4.")
+        _fail_numba_import(monkeypatch, exc)
+        assert kernels.numba_kernels() is None
+        assert kernels.numba_kernels() is None
+        assert resolve_backend() == "numpy"
+        lines = capture_log.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["event"] == "kernels.numba_unavailable"
+        assert payload["level"] == "warning"
+        assert payload["error"] == f"ImportError: {exc}"
+        assert payload["using"] == "numpy"
+
+    def test_missing_numba_dependency_warns(self, monkeypatch, capture_log):
+        # numba itself is installed, so the operator expects the fast path.
+        _fail_numba_import(
+            monkeypatch,
+            ModuleNotFoundError("No module named 'llvmlite'", name="llvmlite"),
+        )
+        assert kernels.numba_kernels() is None
+        payload = json.loads(capture_log.getvalue().strip())
+        assert payload["event"] == "kernels.numba_unavailable"
+        assert "llvmlite" in payload["error"]
 
 
 class TestSketchKnob:
-    def test_sketches_expose_resolved_backend(self):
-        for cls in (CountSketch, CountMinSketch):
-            assert cls(3, 64, seed=1).backend in ("numpy", "numba")
-            assert cls(3, 64, seed=1, backend="numpy").backend == "numpy"
+    """Which sketches arm the compiled path, decided when they are built."""
 
-    def test_numpy_backend_never_arms_jit(self):
-        assert CountSketch(3, 64, backend="numpy")._jit_args is None
-        assert CountMinSketch(3, 64, backend="numpy")._jit_args is None
+    def test_numpy_backend_never_arms_jit(self, monkeypatch):
+        _force_numba(monkeypatch, None)
+        assert CountSketch(3, 64)._jit_args is None
+        assert CountMinSketch(3, 64)._jit_args is None
 
     def test_numba_backend_arms_jit_for_eligible_config(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
-        sk = CountSketch(3, 64, backend="numba")
-        assert sk.backend == "numba" and sk._jit_args is not None
-        cm = CountMinSketch(3, 64, backend="numba")
-        assert cm.backend == "numba" and cm._jit_args is not None
+        assert CountSketch(3, 64)._jit_args is not None
+        assert CountMinSketch(3, 64)._jit_args is not None
 
     def test_ineligible_configs_stay_on_numpy_path(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
         # Non-fused hash family: no combined multiply-shift tables.
-        assert CountSketch(3, 64, family="polynomial", backend="numba")._jit_args is None
+        assert CountSketch(3, 64, family="polynomial")._jit_args is None
         # Quantized storage: compiled kernels require float64 counters.
-        assert CountSketch(3, 64, dtype="int16", backend="numba")._jit_args is None
+        assert CountSketch(3, 64, dtype="int16")._jit_args is None
         # Conservative count-min: the clamp is inherently a numpy pass.
-        cm = CountMinSketch(3, 64, conservative=True, backend="numba")
-        assert cm._jit_args is None
+        assert CountMinSketch(3, 64, conservative=True)._jit_args is None
 
-    def test_explicit_numba_without_numba_falls_back(self, monkeypatch):
-        _force_numba(monkeypatch, None)
-        sk = CountSketch(3, 64, backend="numba")
-        assert sk.backend == "numpy" and sk._jit_args is None
-
-    def test_env_reaches_default_construction(self, monkeypatch):
+    def test_copy_preserves_backend(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert CountSketch(3, 64).backend == "numpy"
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        assert CountSketch(3, 64).backend == "numba"
+        assert CountSketch(3, 64).copy()._jit_args is not None
+        assert CountMinSketch(3, 64).copy()._jit_args is not None
 
-    def test_wrappers_thread_backend(self):
-        asketch = AugmentedSketch(3, 64, backend="numpy")
-        assert asketch.sketch.backend == "numpy"
-        cold = ColdFilterSketch(3, 64, backend="numpy")
-        assert cold.sketch.backend == "numpy"
-        hcs = HierarchicalCountSketch(3, 64, key_space=1 << 16, backend="numpy")
-        assert all(level.backend == "numpy" for level in hcs._levels)
-
-    def test_copy_preserves_backend(self):
-        sk = CountSketch(3, 64, backend="numpy")
-        assert sk.copy().backend == "numpy"
-        cm = CountMinSketch(3, 64, backend="numpy")
-        assert cm.copy().backend == "numpy"
+    def test_jit_target_eligibility(self, monkeypatch, tmp_path):
+        _force_numba(monkeypatch, _FAKE_JIT)
+        store = CounterStore(3, 64)
+        module, flat = kernels.jit_target(store)
+        assert module is _FAKE_JIT and flat is store.raw
+        assert kernels.jit_target(CounterStore(3, 64, dtype="float32")) is None
+        assert kernels.jit_target(CounterStore(3, 64, dtype="int16")) is None
+        # A quantized table widened all the way to float64 keeps its quantum.
+        widened = CounterStore(3, 64, dtype="float64", quantum=0.5)
+        assert kernels.jit_target(widened) is None
+        mapped = CounterStore(3, 64)
+        mapped.raw = np.memmap(
+            tmp_path / "table.bin", dtype=np.float64, mode="w+", shape=(192,)
+        )
+        assert kernels.jit_target(mapped) is None
+        _force_numba(monkeypatch, None)
+        assert kernels.jit_target(store) is None
 
     def test_pickle_drops_no_state_and_survives_numba_loss(self, monkeypatch):
         # The sketch must never hold the (unpicklable) compiled module —
         # only the argument tuple.  A sketch pickled on a numba host must
         # unpickle and keep working on a numpy-only host.
         _force_numba(monkeypatch, _FAKE_JIT)
-        sk = CountSketch(3, 64, seed=5, backend="numba")
+        sk = CountSketch(3, 64, seed=5)
         clone = pickle.loads(pickle.dumps(sk))
-        assert clone.backend == "numba" and clone._jit_args is not None
+        assert clone._jit_args is not None
         _force_numba(monkeypatch, None)  # "numpy-only host"
         keys = np.arange(50, dtype=np.int64)
         vals = np.linspace(-1, 1, 50)
         clone.insert(keys, vals)
-        ref = CountSketch(3, 64, seed=5, backend="numpy")
+        ref = CountSketch(3, 64, seed=5)
         ref.insert(keys, vals)
         np.testing.assert_array_equal(clone.table, ref.table)
-
-    def test_build_estimator_threads_backend(self):
-        est = build_estimator("cs", 100, 3, 64, backend="numpy")
-        assert est.sketch.backend == "numpy"
-        est = build_estimator("asketch", 100, 3, 64, backend="numpy")
-        assert est.sketch.sketch.backend == "numpy"
-        est = build_estimator("coldfilter", 100, 3, 64, backend="numpy")
-        assert est.sketch.sketch.backend == "numpy"
 
 
 class TestBitIdentityAcrossBackends:
@@ -248,14 +210,15 @@ class TestBitIdentityAcrossBackends:
     registered sketch kind).
     """
 
-    def test_count_sketch_state_and_queries(self):
+    def test_count_sketch_state_and_queries(self, pin_kernels):
         rng = np.random.default_rng(11)
         keys = rng.integers(0, 10**12, size=4000)
         vals = rng.standard_normal(4000)
         probe = rng.integers(0, 10**12, size=512)
         reference = None
         for backend in available_backends():
-            sk = CountSketch(5, 1024, seed=3, backend=backend)
+            pin_kernels(backend)
+            sk = CountSketch(5, 1024, seed=3)
             sk.insert(keys, vals)
             sk.insert(keys[:7], vals[:7])  # small batch: the add.at strategy
             est = sk.query(probe)
@@ -267,14 +230,15 @@ class TestBitIdentityAcrossBackends:
                 np.testing.assert_array_equal(est, reference[1])
                 np.testing.assert_array_equal(live, reference[2])
 
-    def test_count_min_state_and_queries(self):
+    def test_count_min_state_and_queries(self, pin_kernels):
         rng = np.random.default_rng(12)
         keys = rng.integers(0, 10**12, size=3000)
         vals = np.abs(rng.standard_normal(3000))
         probe = rng.integers(0, 10**12, size=512)
         reference = None
         for backend in available_backends():
-            cm = CountMinSketch(3, 1024, seed=3, backend=backend)
+            pin_kernels(backend)
+            cm = CountMinSketch(3, 1024, seed=3)
             cm.insert(keys, vals)
             est = cm.query(probe)
             if reference is None:
@@ -286,16 +250,19 @@ class TestBitIdentityAcrossBackends:
 
 class TestSnapshotsAreBackendFree:
     def test_backend_not_serialized(self):
-        arrays = sketch_to_arrays(CountSketch(3, 64, backend="numpy"))
+        arrays = sketch_to_arrays(CountSketch(3, 64))
+        assert not any("backend" in name for name in arrays)
+        arrays = spec_to_arrays(ShardSpec(dim=16, total_samples=64))
         assert not any("backend" in name for name in arrays)
 
-    def test_snapshot_files_byte_identical(self, tmp_path):
+    def test_snapshot_files_byte_identical(self, pin_kernels, tmp_path):
         rng = np.random.default_rng(13)
         keys = rng.integers(0, 10**9, size=2000)
         vals = rng.standard_normal(2000)
         blobs = []
         for backend in available_backends():
-            sk = CountSketch(3, 256, seed=9, backend=backend)
+            pin_kernels(backend)
+            sk = CountSketch(3, 256, seed=9)
             sk.insert(keys, vals)
             path = tmp_path / f"{backend}.npz"
             save_sketch(sk, path)
@@ -303,62 +270,123 @@ class TestSnapshotsAreBackendFree:
         assert all(blob == blobs[0] for blob in blobs)
 
 
+#: How older releases stamped the kernel backend into spec files: a
+#: ``spec_backend`` member holding one of these values, or (``None``) no
+#: member at all in files that predate the compiled kernels.
+STAMPS = [None, "auto", "numpy", "numba"]
+
+
+def _restamp(path, stamp):
+    """Rewrite ``path`` (a file, or every ``.npz`` under a directory) as an
+    older release wrote it: every file that carries a spec gets a
+    ``spec_backend`` member of value ``stamp``, or none for ``None``."""
+    path = Path(path)
+    for file in [path] if path.is_file() else sorted(path.rglob("*.npz")):
+        with np.load(file, allow_pickle=False) as data:
+            payload = {
+                name: data[name]
+                for name in data.files
+                if name not in INTEGRITY_MEMBERS
+            }
+        payload.pop("spec_backend", None)
+        if stamp is not None and "spec_dim" in payload:
+            payload["spec_backend"] = np.asarray(stamp)
+        write_npz(file, payload)
+
+
+def _samples(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            np.sort(rng.choice(dim, size=4, replace=False)).astype(np.int64),
+            rng.integers(1, 5, size=4).astype(np.float64),
+        )
+        for _ in range(count)
+    ]
+
+
+def _batches(dim, count, seed=31):
+    samples = _samples(dim, 4 * count, seed)
+    return [samples[4 * i : 4 * i + 4] for i in range(count)]
+
+
+def _assert_same_state(left, right, spec):
+    a = extract_shard_result(left, spec)
+    b = extract_shard_result(right, spec)
+    for name in (
+        "table",
+        "samples_seen",
+        "updates_examined",
+        "updates_accepted",
+        "tracker_keys",
+        "tracker_estimates",
+        "moments_count",
+        "moments_sum",
+        "moments_sumsq",
+    ):
+        np.testing.assert_array_equal(
+            np.asarray(getattr(a, name)), np.asarray(getattr(b, name)), err_msg=name
+        )
+
+
 class TestShardSpecBackend:
+    """Files written while the kernel backend was a spec field, and before
+    it existed, load and reopen under today's spec."""
+
     def _spec(self, **kwargs):
         kwargs.setdefault("dim", 16)
         kwargs.setdefault("total_samples", 64)
         kwargs.setdefault("num_tables", 3)
         kwargs.setdefault("num_buckets", 64)
+        kwargs.setdefault("track_top", 8)
         return ShardSpec(**kwargs)
 
-    def test_default_and_validation(self):
-        assert self._spec().backend == "auto"
-        with pytest.raises(ValueError, match="backend"):
-            self._spec(backend="fortran")
-
     def test_codec_round_trip(self):
-        spec = self._spec(backend="numpy")
-        assert spec_from_arrays(spec_to_arrays(spec)) == spec
+        spec = self._spec()
+        for stamp in STAMPS:
+            arrays = spec_to_arrays(spec)
+            if stamp is not None:
+                arrays["spec_backend"] = np.asarray(stamp)
+            assert spec_from_arrays(arrays) == spec
 
-    def test_old_files_pin_numpy(self):
-        # Files written before the backend field existed ran the numpy
-        # path; restoring them must not silently switch to auto/numba.
-        arrays = spec_to_arrays(self._spec())
-        del arrays["spec_backend"]
-        assert spec_from_arrays(arrays).backend == "numpy"
+    @pytest.mark.parametrize("stamp", STAMPS)
+    def test_old_shard_file_loads(self, stamp, tmp_path):
+        spec = self._spec()
+        result = sketch_shard(spec, _samples(16, 32, seed=20))
+        path = tmp_path / "shard.npz"
+        save_shard_result(result, path)
+        _restamp(path, stamp)
+        loaded = load_shard_result(path)
+        assert loaded.spec == spec
+        np.testing.assert_array_equal(loaded.table, result.table)
+        np.testing.assert_array_equal(loaded.tracker_keys, result.tracker_keys)
 
-    def test_build_estimator_uses_spec_backend(self):
-        est = self._spec(backend="numpy").build_estimator()
-        assert est.sketch.backend == "numpy"
-
-    def test_merge_accepts_backend_mismatch(self):
-        # Backends are bit-identical, so shards from hosts with different
-        # kernels (or restored legacy "numpy" shards) must merge exactly.
-        rng = np.random.default_rng(21)
-        samples = [
-            (
-                np.sort(rng.choice(16, size=4, replace=False)).astype(np.int64),
-                rng.standard_normal(4),
+    def test_merge_accepts_backend_mismatch(self, tmp_path):
+        # Shard files stamped with different backends (or none) describe
+        # the same sketch and must merge exactly.
+        spec = self._spec()
+        samples = _samples(16, 32, seed=21)
+        shards, paths = [], []
+        for index, stamp in enumerate(STAMPS):
+            shard = sketch_shard(
+                spec,
+                samples[8 * index : 8 * index + 8],
+                shard_index=index,
+                num_shards=len(STAMPS),
+                start=8 * index,
             )
-            for _ in range(32)
-        ]
-        spec_a = self._spec(backend="auto")
-        spec_b = replace(spec_a, backend="numpy")
-        shard_a = sketch_shard(spec_a, samples[:16], shard_index=0, num_shards=2)
-        shard_b = sketch_shard(
-            spec_b, samples[16:], shard_index=1, num_shards=2, start=16
-        )
-        mixed = merge_shard_results([shard_a, shard_b])
-        uniform = merge_shard_results(
-            [
-                shard_a,
-                sketch_shard(
-                    spec_a, samples[16:], shard_index=1, num_shards=2, start=16
-                ),
-            ]
-        )
+            path = tmp_path / f"shard{index}.npz"
+            save_shard_result(shard, path)
+            _restamp(path, stamp)
+            shards.append(shard)
+            paths.append(path)
+        mixed = merge_shard_results([load_shard_result(p) for p in paths])
+        uniform = merge_shard_results(shards)
         np.testing.assert_array_equal(
             mixed.estimator.sketch.table, uniform.estimator.sketch.table
+        )
+        np.testing.assert_array_equal(
+            mixed.estimator.top_k(8)[0], uniform.estimator.top_k(8)[0]
         )
 
     def test_merge_still_rejects_real_mismatches(self):
@@ -373,6 +401,76 @@ class TestShardSpecBackend:
         )
         with pytest.raises(ValueError, match="seed"):
             merge_shard_results([shard_a, shard_b])
+
+    @pytest.mark.parametrize("stamp", STAMPS)
+    def test_durable_directory_reopens_with_callers_spec(self, stamp, tmp_path):
+        spec = self._spec(total_samples=160)
+        batches = _batches(spec.dim, 40)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=6)
+        for batch in batches[:20]:
+            durable.fit_sparse(batch)
+        durable.close()
+        _restamp(tmp_path, stamp)
+
+        reopened = DurableSketcher(tmp_path, spec, checkpoint_every=6)
+        assert reopened.recovered_from is not None and reopened.replayed_records
+        for batch in batches[20:]:
+            reopened.fit_sparse(batch)
+        reopened.close()
+        reference = spec.build_sketcher()
+        for batch in batches:
+            reference.fit_sparse(iter(batch))
+        _assert_same_state(reopened, reference, spec)
+
+    @pytest.mark.parametrize("stamp", STAMPS)
+    def test_windowed_directory_reopens_with_callers_spec(self, stamp, tmp_path):
+        spec = self._spec(total_samples=160)
+        batches = _batches(spec.dim, 40)
+        window = dict(num_panes=3, pane_samples=32)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=6, **window)
+        for batch in batches[:20]:
+            durable.fit_sparse(batch)
+        durable.close()
+        _restamp(tmp_path, stamp)
+
+        reopened = DurableSketcher(tmp_path, spec, checkpoint_every=6)
+        assert reopened.windowed and reopened.recovered_from is not None
+        for batch in batches[20:]:
+            reopened.fit_sparse(batch)
+        reopened.close()
+        reference = PaneRing(spec, **window)
+        for batch in batches:
+            reference.fit_sparse(iter(batch))
+        assert reopened.samples_seen == reference.samples_seen
+        assert reopened.window_span == reference.window_span
+        np.testing.assert_array_equal(
+            reopened.window().estimator.sketch.table,
+            reference.window().estimator.sketch.table,
+        )
+
+    @pytest.mark.parametrize("stamp", STAMPS)
+    def test_serving_durable_reopens_with_callers_spec(self, stamp, tmp_path):
+        spec = self._spec(total_samples=160)
+        batches = _batches(spec.dim, 40)
+        options = {"durable_options": {"checkpoint_every": 6}}
+        serving = ServingEstimator.durable(tmp_path, spec, **options)
+        for batch in batches[:20]:
+            serving.ingest_sparse(batch)
+        serving.sketcher.close()
+        _restamp(tmp_path, stamp)
+
+        reopened = ServingEstimator.durable(tmp_path, spec, **options)
+        for batch in batches[20:]:
+            reopened.ingest_sparse(batch)
+        reopened.sketcher.close()
+        reference = spec.build_sketcher()
+        for batch in batches:
+            reference.fit_sparse(iter(batch))
+        _assert_same_state(reopened.sketcher, reference, spec)
+        keys = np.arange(50, dtype=np.int64)
+        np.testing.assert_array_equal(
+            reopened.refresh().query_keys(keys), reference.estimate_keys(keys)
+        )
 
 
 class TestMemoryBytesReporting:
@@ -392,25 +490,3 @@ class TestMemoryBytesReporting:
         sketch = p.build_sketch(seed=1)
         assert p.measured_bytes_per_counter(sketch) == p.predicted_bytes_per_counter
         assert sketch.memory_bytes == p.predicted_total_bytes
-
-
-class TestPlanBackend:
-    def test_plan_resolves_backend(self):
-        p = plan(n_features=1000, budget_mb=0.25)
-        assert p.kernel_backend == resolve_backend(None)
-        report = p.to_dict()
-        assert report["kernel_backend"] == p.kernel_backend
-        assert "kernels" in report["throughput_note"]
-
-    def test_throughput_note_flags_quantized_plans(self):
-        base = plan(n_features=1000, budget_mb=0.25)
-        numba_int16 = replace(base, kernel_backend="numba")
-        assert "numpy path" in numba_int16.throughput_note
-        numba_f64 = replace(
-            base, kernel_backend="numba", storage="float64", quantum=None
-        )
-        assert "compiled" in numba_f64.throughput_note
-
-    def test_build_sketch_override(self):
-        p = plan(n_features=1000, budget_mb=0.25)
-        assert p.build_sketch(seed=1, backend="numpy").backend == "numpy"
