@@ -3,7 +3,9 @@
 Measures the kernels that PR 1 fused — multi-table hashing, count-sketch
 insert/query, top-k tracking, and sparse pair expansion — against the
 per-table / per-sample reference implementations preserved in
-:mod:`repro.reference`, plus the end-to-end sparse covariance pipeline.
+:mod:`repro.reference`, plus the end-to-end sparse covariance pipeline
+and the sweep that measures where ``fit_sparse`` should stop expanding
+pairs and take one GEMM per batch (``route`` records).
 
 Run directly (full workloads, writes ``BENCH_kernels.json`` at the repo
 root)::
@@ -32,8 +34,13 @@ import numpy as np
 
 from registry import BenchSuite, register
 from repro.core.estimator import SketchEstimator
+from repro.covariance import pipeline
 from repro.covariance.pipeline import CovarianceSketcher
-from repro.covariance.updates import sparse_batch_pairs
+from repro.covariance.updates import (
+    aggregate_pair_updates,
+    sparse_batch_pairs,
+    validate_sparse_batch,
+)
 from repro.hashing.families import MultiTableHasher, make_family
 from repro.reference import (
     LegacyCountMinSketch,
@@ -337,6 +344,81 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
     )
 
 
+#: Route sweep: the default pipeline batch over a fixed union of features
+#: drawn from a 10^6-feature space, per-sample nnz growing to full cover.
+ROUTE_BATCH = 32
+ROUTE_UNION = 256
+ROUTE_DIM = 10**6
+
+
+def bench_route(results, *, trials, nnz_grid):
+    """Pair expansion vs the GEMM route on one batch as its samples overlap.
+
+    Each point times both routes of ``CovarianceSketcher`` on the same
+    batch (the decision itself, one sort of the indices, is paid either
+    way and left out).  ``overlap`` is the expanded pair count over the
+    union's pair count, the quantity ``GEMM_CROSSOVER`` thresholds.
+    """
+    rng = np.random.default_rng(7)
+    features = rng.choice(ROUTE_DIM, size=ROUTE_UNION, replace=False)
+    sketcher = CovarianceSketcher(ROUTE_DIM, None)
+    # On some hosts a process's BLAS threads answer small products ~20x
+    # slower for a second or more at a time; let them settle first.
+    warm = rng.standard_normal((ROUTE_BATCH, ROUTE_UNION))
+    until = time.perf_counter() + 2.0
+    while time.perf_counter() < until:
+        warm.T @ warm
+    for m in nnz_grid:
+        order = rng.permutation(features)
+        batch = [
+            (
+                np.sort(order[(s * m + np.arange(m)) % ROUTE_UNION]),
+                rng.standard_normal(m),
+            )
+            for s in range(ROUTE_BATCH)
+        ]
+        idx, val, lengths = validate_sparse_batch(batch, ROUTE_DIM)
+        union = np.unique(idx)
+
+        def expand(_):
+            keys, products = sparse_batch_pairs(idx, val, lengths, ROUTE_DIM)
+            aggregate_pair_updates([keys], [products])
+
+        def gemm(_):
+            sketcher._gemm_pair_updates(idx, val, lengths, union)
+
+        expand_s = _best_seconds(lambda: None, expand, trials=trials, inner=1)
+        gemm_s = _best_seconds(lambda: None, gemm, trials=trials, inner=1)
+        expanded = int((lengths * (lengths - 1)).sum()) // 2
+        u = union.size
+        results.append(
+            {
+                "op": "route",
+                "batch": ROUTE_BATCH,
+                "union": int(u),
+                "nnz": int(m),
+                "overlap": expanded / (u * (u - 1) // 2),
+                "expand_seconds": expand_s,
+                "gemm_seconds": gemm_s,
+            }
+        )
+
+
+def route_crossover(report: dict) -> float | None:
+    """The overlap where the GEMM route starts to win, interpolated
+    log-linearly between the two sweep points that bracket it."""
+    points = sorted(
+        (rec["overlap"], rec["expand_seconds"] / rec["gemm_seconds"])
+        for rec in report.get("results", [])
+        if rec.get("op") == "route"
+    )
+    for (lo, lo_ratio), (hi, hi_ratio) in zip(points, points[1:]):
+        if lo_ratio < 1.0 <= hi_ratio:
+            t = -np.log(lo_ratio) / (np.log(hi_ratio) - np.log(lo_ratio))
+            return float(np.exp(np.log(lo) + t * (np.log(hi) - np.log(lo))))
+    return None
+
+
 @contextmanager
 def _pinned_kernels(backend):
     """Make ``backend`` the kernels that sketches built inside will run.
@@ -448,11 +530,15 @@ def run_benchmarks(smoke: bool = False) -> dict:
         batches = (256, 4096)
         expansion_samples = 8
         pipeline_samples = 64
+        # Overlaps 0.12 and 8, far enough from the crossover that a slow
+        # BLAS spell cannot flip them: a smoke run catches gross errors.
+        route_nnz = (16, 128)
     else:
         trials, inner = 7, 5
         batches = (256, 1024, 4096, 16384, 100_000)
         expansion_samples = 32
         pipeline_samples = 512
+        route_nnz = (8, 16, 24, 32, 36, 40, 44, 48, 56, 64, 96, 128, 192, 256)
 
     bench_count_sketch(results, batches=batches, trials=trials, inner=inner, rng=rng)
     bench_count_min(results, trials=trials, inner=inner, rng=rng)
@@ -464,6 +550,7 @@ def run_benchmarks(smoke: bool = False) -> dict:
     bench_sparse_pipeline(
         results, trials=max(2, trials // 2), rng=rng, num_samples=pipeline_samples
     )
+    bench_route(results, trials=trials, nnz_grid=route_nnz)
     bench_backends(results, batches=batches, trials=trials, inner=inner, rng=rng)
 
     def _speedup(op, batch=None):
@@ -497,6 +584,8 @@ def run_benchmarks(smoke: bool = False) -> dict:
         "results": results,
     }
     headline["numba_insert_speedup"] = backend_speedup(report)
+    headline["route_crossover_measured"] = route_crossover(report)
+    headline["route_crossover_shipped"] = pipeline.GEMM_CROSSOVER
     return report
 
 
@@ -514,6 +603,14 @@ def print_report(report: dict) -> None:
                 f"{rec['legacy_seconds'] * 1e6:>10.1f}us"
                 f"{rec['fused_seconds'] * 1e6:>10.1f}us"
                 f"{rec['speedup']:>8.2f}x"
+            )
+        elif rec["op"] == "route":
+            print(
+                f"{'route overlap=' + format(rec['overlap'], '.3f'):<32}"
+                f"{rec['nnz']:>8}"
+                f"{rec['expand_seconds'] * 1e6:>10.1f}us"
+                f"{rec['gemm_seconds'] * 1e6:>10.1f}us"
+                f"{rec['expand_seconds'] / rec['gemm_seconds']:>8.2f}x"
             )
         else:
             label = f"{rec['op']}[{rec['backend']}]"
@@ -538,6 +635,11 @@ def main(smoke: bool = False, out: Path | None = None) -> dict:
 #: anything below this means the JIT path silently degraded.
 NUMBA_MIN_INSERT_SPEEDUP = 5.0
 
+#: How much slower than the other route a swept batch's chosen route may
+#: time before the shipped crossover counts as wrong: two best-of-N timings
+#: of the same work differ by up to this much across runs on a shared host.
+ROUTE_NOISE = 1.5
+
 
 def _check(report: dict) -> list:
     """CI gate: no fused kernel may regress below parity with the
@@ -560,6 +662,31 @@ def _check(report: dict) -> list:
             problems.append(
                 f"numba insert speedup {ratio:.1f}x is below the "
                 f"{NUMBA_MIN_INSERT_SPEEDUP:.0f}x floor over numpy"
+            )
+    if int(meta.get("cpu_count", 1)) >= 2:
+        problems.extend(_route_problems(report))
+    return problems
+
+
+def _route_problems(report: dict) -> list:
+    """Swept batches the shipped ``GEMM_CROSSOVER`` sends to the route that
+    timed slower by more than :data:`ROUTE_NOISE`."""
+    problems = []
+    for rec in report["results"]:
+        if rec["op"] != "route":
+            continue
+        gemm = rec["overlap"] >= pipeline.GEMM_CROSSOVER
+        chosen, other = (
+            (rec["gemm_seconds"], rec["expand_seconds"])
+            if gemm
+            else (rec["expand_seconds"], rec["gemm_seconds"])
+        )
+        if chosen > ROUTE_NOISE * other:
+            problems.append(
+                f"GEMM_CROSSOVER={pipeline.GEMM_CROSSOVER} sends the "
+                f"overlap-{rec['overlap']:.3f} batch to the "
+                f"{'gemm' if gemm else 'expand'} route, "
+                f"{chosen / other:.2f}x slower than the other"
             )
     return problems
 

@@ -6,7 +6,8 @@ streams.  Responsibilities:
 * maintain per-feature running moments (mean for centering, std for the
   correlation normalisation used throughout the paper's experiments);
 * expand each batch of samples into covariance-entry updates (dense GEMM
-  path or sparse pair-expansion path, section 5);
+  path or sparse pair-expansion path, section 5; ``fit_sparse`` picks the
+  cheaper one per batch, see :func:`gemm_union`);
 * feed the updates to any streaming estimator (vanilla CS, ASCS, ASketch,
   Cold Filter) through the uniform ``ingest(keys, values, num_samples)``
   interface;
@@ -30,6 +31,8 @@ from repro.covariance.updates import (
     dense_batch_products,
     sparse_batch_pairs,
     triu_pair_values,
+    union_pair_keys,
+    validate_sparse_batch,
 )
 from repro.hashing.pairs import index_to_pair, num_pairs
 from repro.sketch.topk import scan_top_keys
@@ -38,6 +41,35 @@ __all__ = ["CovarianceSketcher"]
 
 _CENTERING_MODES = ("none", "running", "exact")
 _VALUE_MODES = ("covariance", "correlation")
+_MAX_DENSE_KEYS = 50_000_000
+
+#: A sparse batch takes the GEMM route once its expanded pair count
+#: reaches this multiple of the pair count of its index union.  Measured,
+#: not tuned: the ``route`` records of ``BENCH_kernels.json`` time both
+#: routes across the crossover, and the bench's check fails when this
+#: constant sends a swept batch to the slower route.
+GEMM_CROSSOVER = 0.5
+
+
+def gemm_union(indices: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The sorted index union of a batch when the GEMM route is cheaper.
+
+    Pair expansion costs about one sort of the batch's ``sum m(m-1)/2``
+    pair products; the GEMM route costs about the ``u(u-1)/2`` pairs of
+    the ``u`` distinct indices.  Counting ``u`` takes one sort of the
+    indices.  Returns ``None`` when the batch should expand.
+    """
+    expanded = int((lengths * (lengths - 1)).sum()) // 2
+    if expanded == 0:
+        return None
+    ordered = np.sort(indices)
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    u = int(np.count_nonzero(fresh))
+    if expanded < GEMM_CROSSOVER * (u * (u - 1) // 2):
+        return None
+    return ordered[fresh]
 
 
 class CovarianceSketcher:
@@ -101,7 +133,7 @@ class CovarianceSketcher:
     # ------------------------------------------------------------------
     def _dense_pair_keys(self) -> np.ndarray:
         if self._dense_keys is None:
-            if self.num_pairs > 50_000_000:
+            if self.num_pairs > _MAX_DENSE_KEYS:
                 raise ValueError(
                     "dense path would materialise too many pair keys; "
                     "use the sparse path for this dimension"
@@ -176,9 +208,12 @@ class CovarianceSketcher:
     ) -> "CovarianceSketcher":
         """Stream sparse samples ``(indices, values)`` through the estimator.
 
-        Centering other than ``"none"`` is rejected: at sparse scale the
-        paper's section-5 approximation (means negligible vs stds) is the
-        whole point of the fast path.
+        Each batch is checked before it changes any state (see
+        :func:`repro.covariance.updates.validate_sparse_batch`), then
+        expands its pairs or takes one GEMM, whichever :func:`gemm_union`
+        finds cheaper.  Centering other than ``"none"`` is rejected: at
+        sparse scale the paper's section-5 approximation (means negligible
+        vs stds) is the whole point of the fast path.
         """
         if self.centering != "none":
             raise ValueError("sparse path supports centering='none' only")
@@ -194,24 +229,44 @@ class CovarianceSketcher:
 
     def _ingest_sparse_batch(self, batch: list[tuple[np.ndarray, np.ndarray]]) -> None:
         b = len(batch)
-        idx_arrays = [np.asarray(s[0], dtype=np.int64) for s in batch]
-        val_arrays = [np.asarray(s[1], dtype=np.float64) for s in batch]
-        if any(i.size != v.size for i, v in zip(idx_arrays, val_arrays)):
-            raise ValueError("indices and values must align")
-        lengths = np.asarray([a.size for a in idx_arrays], dtype=np.int64)
-        all_idx = np.concatenate(idx_arrays)
-        all_val = np.concatenate(val_arrays)
+        all_idx, all_val, lengths = validate_sparse_batch(batch, self.dim)
         self.sparse_moments.update_batch(all_idx, all_val, num_samples=b)
 
         if self.mode == "correlation" and all_idx.size:
             all_val = all_val / self.sparse_moments.std(floor=self.std_floor)[all_idx]
 
-        # One fused kernel expands every sample's m*(m-1)/2 pairs at once —
-        # identical output to looping sparse_sample_pairs per sample.
-        keys, products = sparse_batch_pairs(all_idx, all_val, lengths, self.dim)
-        keys, sums = aggregate_pair_updates([keys], [products])
+        union = gemm_union(all_idx, lengths)
+        if union is None:
+            # One fused kernel expands every sample's m*(m-1)/2 pairs at
+            # once — identical output to looping sparse_sample_pairs.
+            keys, products = sparse_batch_pairs(all_idx, all_val, lengths, self.dim)
+            keys, sums = aggregate_pair_updates([keys], [products])
+        else:
+            keys, sums = self._gemm_pair_updates(all_idx, all_val, lengths, union)
         self.estimator.ingest(keys, sums, num_samples=b)
         self.samples_seen += b
+
+    def _gemm_pair_updates(self, indices, values, lengths, union):
+        """The expanded route's keys and sums, from one GEMM over ``union``.
+
+        Same keys in the same order; for finite values each sum adds the
+        same products in another order.  Absent indices are zeros of the
+        ``(b, u)`` block, so only the pairs some sample co-observes are
+        kept.
+        """
+        u = union.size
+        rows = np.repeat(np.arange(lengths.size), lengths)
+        cols = np.searchsorted(union, indices)
+        block = np.zeros((lengths.size, u))
+        block[rows, cols] = values
+        sums = dense_batch_products(block)
+        if (lengths == u).any():  # one sample co-observes every union pair
+            if u == self.dim and self.num_pairs <= _MAX_DENSE_KEYS:
+                return self._dense_pair_keys(), sums
+            return union_pair_keys(union, self.dim), sums
+        block[rows, cols] = 1.0
+        kept = dense_batch_products(block) > 0
+        return union_pair_keys(union, self.dim)[kept], sums[kept]
 
     def fit(self, data) -> "CovarianceSketcher":
         """Dispatch on input type: dense array, scipy CSR matrix, or an

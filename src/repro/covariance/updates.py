@@ -27,10 +27,12 @@ from repro.hashing.pairs import pair_to_index
 __all__ = [
     "triu_pair_values",
     "dense_batch_products",
+    "union_pair_keys",
     "adjustment_matrix",
     "sparse_sample_pairs",
     "sparse_batch_pairs",
     "aggregate_pair_updates",
+    "validate_sparse_batch",
 ]
 
 
@@ -39,14 +41,20 @@ def _triu_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, k=1)
 
 
+@lru_cache(maxsize=8)
+def _triu_flat(d: int) -> np.ndarray:
+    return np.flatnonzero(np.triu(np.ones((d, d), dtype=bool), k=1))
+
+
 def triu_pair_values(matrix: np.ndarray) -> np.ndarray:
     """Extract the strict upper triangle row-major — aligned with flat pair
     keys ``0..p-1`` of :func:`repro.hashing.pair_to_index`."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    rows, cols = _triu_indices(matrix.shape[0])
-    return matrix[rows, cols]
+    # One gather through flat offsets: several times faster than indexing
+    # with a (rows, cols) pair, same elements.
+    return np.take(matrix, _triu_flat(matrix.shape[0]))
 
 
 def dense_batch_products(
@@ -63,6 +71,21 @@ def dense_batch_products(
         batch = batch - np.asarray(center, dtype=np.float64)
     gram = batch.T @ batch
     return triu_pair_values(gram)
+
+
+def union_pair_keys(union: np.ndarray, dim: int) -> np.ndarray:
+    """Flat keys of every pair of a sorted index ``union``, ascending.
+
+    Aligned with :func:`dense_batch_products` over a batch whose columns
+    are ``union``: entry ``t`` of both belongs to the same pair.
+    """
+    union = np.asarray(union, dtype=np.int64)
+    # key(a, b) = key(a, a + 1) + (b - a - 1): an outer sum whose strict
+    # upper triangle holds every pair's key.  The last index starts no
+    # pair inside the union; its row lies below the diagonal.
+    head = union[:-1]
+    start = pair_to_index(head, head + 1, dim) - head - 1
+    return triu_pair_values(np.add.outer(np.append(start, 0), union))
 
 
 def adjustment_matrix(
@@ -178,6 +201,48 @@ def sparse_batch_pairs(
     cols += rows + 1
     keys = pair_to_index(idx[rows], idx[cols], dim)
     return keys, val[rows] * val[cols]
+
+
+def validate_sparse_batch(
+    samples, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a batch of sparse ``(indices, values)`` samples; concatenate it.
+
+    Returns ``(indices, values, lengths)`` in the layout
+    :func:`sparse_batch_pairs` takes.  Raises ``ValueError`` unless every
+    sample's indices and values are aligned 1-D arrays, every index lies
+    in ``[0, dim)`` and no index repeats within a sample, so a caller that
+    validates first refuses a bad batch before any state changes.
+    Samples whose indices ascend pass in O(nnz); any other sample order
+    costs one ``lexsort``.
+    """
+    idx_arrays, val_arrays = [], []
+    for sample in samples:
+        indices = np.asarray(sample[0], dtype=np.int64)
+        values = np.asarray(sample[1], dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("indices and values must be aligned 1-D arrays")
+        idx_arrays.append(indices)
+        val_arrays.append(values)
+    lengths = np.asarray([a.size for a in idx_arrays], dtype=np.int64)
+    if not idx_arrays or not lengths.any():
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0, dtype=np.float64), lengths
+    indices = np.concatenate(idx_arrays)
+    values = np.concatenate(val_arrays)
+    if indices.min() < 0 or indices.max() >= dim:
+        raise ValueError(f"sample indices must lie in [0, {dim})")
+    # A step between neighbours of one sample must climb; steps that cross
+    # into the next sample are exempt.
+    climbs = np.diff(indices) > 0
+    starts = np.cumsum(lengths)[:-1]
+    climbs[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not climbs.all():
+        sample = np.repeat(np.arange(lengths.size), lengths)
+        ordered = indices[np.lexsort((indices, sample))]
+        if ((ordered[1:] == ordered[:-1]) & (sample[1:] == sample[:-1])).any():
+            raise ValueError("a sample repeats an index")
+    return indices, values, lengths
 
 
 def aggregate_pair_updates(

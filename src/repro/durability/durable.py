@@ -33,7 +33,8 @@ Layout of a durable directory::
 The wrapper quacks like the write side it wraps (``dim`` / ``mode`` /
 ``samples_seen`` / ``fit_sparse`` / ``estimator`` /
 ``export_snapshot_state`` pass through), so it slots directly into
-:class:`repro.serving.ServingEstimator`.
+:class:`repro.serving.ServingEstimator`; ``fit_dense`` journals dense
+rows as sparse samples over every feature.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.covariance.updates import validate_sparse_batch
 from repro.distributed.shard import (
     ShardSpec,
     extract_shard_result,
@@ -516,14 +518,17 @@ class DurableSketcher:
         """Journal one ingest batch, then apply it.
 
         The batch is materialised (the journal and the estimator both
-        consume it), durably appended, and only then fed to the wrapped
-        write side — so a crash at any byte leaves either "not
+        consume it), checked, durably appended, and only then fed to the
+        wrapped write side — so a crash at any byte leaves either "not
         acknowledged, not applied" (safe to resend) or "acknowledged and
-        replayable".  Empty batches are not journalled.
+        replayable".  A malformed batch raises ``ValueError`` before the
+        journal sees it: a record that cannot apply would fail every later
+        recovery.  Empty batches are not journalled.
         """
         batch = samples if isinstance(samples, list) else list(samples)
         if not batch:
             return self
+        validate_sparse_batch(batch, self.dim)
         self.journal.append(batch)
         self._inner.fit_sparse(iter(batch))
         self._records_since_checkpoint += 1
@@ -533,11 +538,18 @@ class DurableSketcher:
             self.checkpoint()
         return self
 
-    def fit_dense(self, batch):
-        raise NotImplementedError(
-            "durable ingest is sparse-only (the WAL records sparse batches); "
-            "convert dense rows upstream"
-        )
+    def fit_dense(self, batch) -> "DurableSketcher":
+        """Journal and apply dense rows as sparse samples.
+
+        Each row becomes one ``(arange(d), row)`` sample, since the WAL
+        records sparse batches; ``fit_sparse`` then sends the batch through
+        one GEMM instead of expanding its pairs.
+        """
+        rows = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError(f"expected shape (n, {self.dim}), got {rows.shape}")
+        features = np.arange(self.dim, dtype=np.int64)
+        return self.fit_sparse([(features, row) for row in rows])
 
     @property
     def dim(self) -> int:

@@ -148,6 +148,42 @@ class TestCrashRecoveryBitIdentity:
         assert recovered.samples_seen == reference.samples_seen
 
     @pytest.mark.parametrize("storage", sorted(SPECS))
+    @pytest.mark.parametrize("kill_at", (40, 5000, 20000))
+    def test_dense_kill_point_recovers_bit_identical(self, storage, kill_at, tmp_path):
+        """Dense rows journal as ``(arange(d), row)`` samples; apply and
+        replay send them through the same GEMM route."""
+        spec = SPECS[storage]
+        rng = np.random.default_rng(kill_at)
+        batches = [rng.standard_normal((4, spec.dim)) for _ in range(12)]
+        features = np.arange(spec.dim)
+        reference = spec.build_sketcher()
+        for rows in batches:
+            reference.fit_sparse([(features, row) for row in rows])
+
+        fs = FaultyFS(kill_at_bytes=kill_at)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=5, open_fn=fs)
+        crashed_at = None
+        for index, rows in enumerate(batches):
+            try:
+                durable.fit_dense(rows)
+            except SimulatedCrash:
+                crashed_at = index
+                break
+        assert crashed_at is not None, f"kill budget {kill_at} never fired"
+
+        recovered = DurableSketcher(tmp_path, checkpoint_every=5)
+        for rows in batches[crashed_at:]:
+            recovered.fit_dense(rows)
+        recovered.close()
+        _assert_bit_identical(
+            recovered,
+            reference,
+            spec,
+            context=f"[dense storage={storage} kill_at={kill_at}] ",
+        )
+        assert recovered.samples_seen == reference.samples_seen
+
+    @pytest.mark.parametrize("storage", sorted(SPECS))
     def test_double_crash_still_recovers(self, storage, tmp_path):
         """A crash during the *recovered* run must also be recoverable."""
         spec = SPECS[storage]
@@ -475,11 +511,43 @@ class TestDurableCheckpoints:
             reference.fit_sparse(iter(batch))
         _assert_bit_identical(reopened, reference, spec)
 
-    def test_dense_ingest_is_refused(self, tmp_path):
-        durable = DurableSketcher(tmp_path, SPECS["float64"])
-        with pytest.raises(NotImplementedError, match="sparse-only"):
-            durable.fit_dense(np.zeros((2, 48)))
+    def test_refused_batch_is_not_journalled(self, tmp_path):
+        """A malformed batch raises before the WAL holds it, so the
+        directory still recovers."""
+        spec = SPECS["float64"]
+        batches = _batches(spec, num_batches=4)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=0)
+        for batch in batches[:2]:
+            durable.fit_sparse(batch)
+        bad = batches[2] + [(np.array([3, 9, 3]), np.array([1.0, 2.0, 3.0]))]
+        with pytest.raises(ValueError):
+            durable.fit_sparse(bad)
+        durable.fit_sparse(batches[3])
+        assert durable.journal.stats()["records_written"] == 3
         durable.close()
+
+        recovered = DurableSketcher(tmp_path)
+        recovered.close()
+        assert recovered.replayed_records == 3
+        reference = spec.build_sketcher()
+        for batch in batches[:2] + batches[3:]:
+            reference.fit_sparse(iter(batch))
+        _assert_bit_identical(recovered, reference, spec)
+
+    def test_serving_ingests_dense_rows_durably(self, tmp_path):
+        from repro.serving import ServingEstimator
+
+        spec = SPECS["float64"]
+        rows = np.random.default_rng(2).standard_normal((6, spec.dim))
+        serving = ServingEstimator.durable(tmp_path, spec)
+        serving.ingest_dense(rows)
+        serving.sketcher.close()
+        reference = spec.build_sketcher()
+        reference.fit_sparse([(np.arange(spec.dim), row) for row in rows])
+        recovered = DurableSketcher(tmp_path)
+        recovered.close()
+        assert recovered.samples_seen == 6
+        _assert_bit_identical(recovered, reference, spec)
 
     def test_stats_report_wal_lag(self, tmp_path):
         spec = SPECS["float64"]

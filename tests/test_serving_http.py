@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 import urllib.error
 import urllib.request
 
@@ -173,6 +174,28 @@ class TestErrorsAndReadOnlyTargets:
         assert excinfo.value.code in (400, 500)
         assert "error" in json.loads(excinfo.value.read())
 
+    def test_ingest_index_past_dim_is_400(self, rng):
+        """A sample index >= dim is the client's mistake in either value
+        mode, refused before any write-side state changes."""
+        estimator = SketchEstimator(CountSketch(3, 512, seed=31), total_samples=1000)
+        sketcher = CovarianceSketcher(DIM, estimator, mode="correlation")
+        serving = ServingEstimator(sketcher, top_index=64)
+        server, _ = serve_in_background(serving)
+        try:
+            request = urllib.request.Request(
+                f"{server.url}/ingest",
+                data=json.dumps({"samples": [[[1, 5000], [1.0, 2.0]]]}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
+            assert sketcher.sparse_moments.count == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_out_of_range_keys_is_400(self, serving_server):
         _, server, _ = serving_server
         request = urllib.request.Request(
@@ -247,6 +270,11 @@ class TestObservabilityEndpoints:
         _, _, client = serving_server
         client.pair(0, 1)
         text = client.metrics()
+        # The server counts a request after its reply is sent, so the scrape
+        # can outrun the /pair thread's first count: poll, bounded.
+        deadline = time.monotonic() + 5.0
+        while "repro_http_requests_total" not in text and time.monotonic() < deadline:
+            text = client.metrics()
         assert isinstance(text, str)
         assert "# TYPE repro_http_requests_total counter" in text
         assert "# TYPE repro_http_rejected_total counter" in text
