@@ -36,18 +36,13 @@ from registry import BenchSuite, register
 from repro.core.estimator import SketchEstimator
 from repro.covariance import pipeline
 from repro.covariance.pipeline import CovarianceSketcher
-from repro.covariance.updates import (
-    aggregate_pair_updates,
-    sparse_batch_pairs,
-    validate_sparse_batch,
-)
+from repro.covariance.updates import sparse_batch_pairs, validate_sparse_batch
 from repro.hashing.families import MultiTableHasher, make_family
 from repro.reference import (
     LegacyCountMinSketch,
     LegacyCountSketch,
     LegacySparseMoments,
     LegacyTopKTracker,
-    legacy_aggregate_sparse_batch,
     legacy_sparse_batch_pairs,
 )
 from repro.sketch.count_min import CountMinSketch
@@ -280,8 +275,8 @@ def bench_sparse_expansion(results, *, trials, inner, rng, num_samples):
 
 
 def bench_sparse_pipeline(results, *, trials, rng, num_samples):
-    """End-to-end ``fit_sparse``: expansion + aggregation + sketch ingest +
-    candidate tracking, fused stack vs. the full legacy stack."""
+    """End-to-end ``fit_sparse``: expansion + sketch ingest of the pair
+    stream + candidate tracking, fused stack vs. the full legacy stack."""
     dim = 10**6
     nnz = 64
     batch_size = 32
@@ -320,8 +315,8 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
             idx = np.concatenate([s[0] for s in chunk])
             val = np.concatenate([s[1] for s in chunk])
             moments.update_batch(idx, val, num_samples=len(chunk))
-            keys, sums = legacy_aggregate_sparse_batch(idx, val, lengths, dim)
-            est.ingest(keys, sums, num_samples=len(chunk))
+            keys, products = legacy_sparse_batch_pairs(idx, val, lengths, dim)
+            est.ingest(keys, products, num_samples=len(chunk))
         return est
 
     # Sanity: both stacks must leave the same counters behind.
@@ -349,19 +344,30 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
 ROUTE_BATCH = 32
 ROUTE_UNION = 256
 ROUTE_DIM = 10**6
+#: The sketch each route's updates go into: perfbench's K and R.
+ROUTE_TABLES = 5
+ROUTE_BUCKETS = 1 << 15
 
 
 def bench_route(results, *, trials, nnz_grid):
     """Pair expansion vs the GEMM route on one batch as its samples overlap.
 
     Each point times both routes of ``CovarianceSketcher`` on the same
-    batch (the decision itself, one sort of the indices, is paid either
-    way and left out).  ``overlap`` is the expanded pair count over the
-    union's pair count, the quantity ``GEMM_CROSSOVER`` thresholds.
+    batch, each through to the sketch: the route's pair updates plus one
+    ``CountSketch(5, 2**15).insert`` of what it emits.  The expanded route
+    emits every sample's pairs, repeats included, the GEMM route one sum
+    per co-observed pair, so timing the updates alone would compare
+    different work.  The decision itself, one sort of the indices, is paid
+    either way and left out.  ``overlap`` is the expanded pair count over
+    the union's pair count, the quantity ``GEMM_CROSSOVER`` thresholds.
     """
     rng = np.random.default_rng(7)
     features = rng.choice(ROUTE_DIM, size=ROUTE_UNION, replace=False)
     sketcher = CovarianceSketcher(ROUTE_DIM, None)
+
+    def sketch():
+        return CountSketch(ROUTE_TABLES, ROUTE_BUCKETS, seed=3)
+
     # On some hosts a process's BLAS threads answer small products ~20x
     # slower for a second or more at a time; let them settle first.
     warm = rng.standard_normal((ROUTE_BATCH, ROUTE_UNION))
@@ -380,15 +386,14 @@ def bench_route(results, *, trials, nnz_grid):
         idx, val, lengths = validate_sparse_batch(batch, ROUTE_DIM)
         union = np.unique(idx)
 
-        def expand(_):
-            keys, products = sparse_batch_pairs(idx, val, lengths, ROUTE_DIM)
-            aggregate_pair_updates([keys], [products])
+        def expand(sk):
+            sk.insert(*sparse_batch_pairs(idx, val, lengths, ROUTE_DIM))
 
-        def gemm(_):
-            sketcher._gemm_pair_updates(idx, val, lengths, union)
+        def gemm(sk):
+            sk.insert(*sketcher._gemm_pair_updates(idx, val, lengths, union))
 
-        expand_s = _best_seconds(lambda: None, expand, trials=trials, inner=1)
-        gemm_s = _best_seconds(lambda: None, gemm, trials=trials, inner=1)
+        expand_s = _best_seconds(sketch, expand, trials=trials, inner=1)
+        gemm_s = _best_seconds(sketch, gemm, trials=trials, inner=1)
         expanded = int((lengths * (lengths - 1)).sum()) // 2
         u = union.size
         results.append(

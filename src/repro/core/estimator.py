@@ -1,7 +1,8 @@
 """Streaming mean estimators over flat keys — the layer Algorithm 1/2 run at.
 
-An estimator consumes batches of (key, summed-value) updates produced by the
-covariance pipeline, maintains the ``1/T`` scaling of Algorithms 1-2, tracks
+An estimator consumes batches of (key, value) updates produced by the
+covariance pipeline (a key repeats within a batch when several samples
+share its pair), maintains the ``1/T`` scaling of Algorithms 1-2, tracks
 top candidates for trillion-scale retrieval, and exposes a uniform query
 interface.  :class:`SketchEstimator` is the ingest-everything behaviour
 (vanilla CS, ASketch, Cold Filter — anything satisfying
@@ -55,7 +56,11 @@ class SketchEstimator:
     observer:
         Optional hook called after every batch with
         ``(samples_seen, keys, values, accepted_mask)`` — used by the SNR
-        instrumentation of Figure 5.
+        instrumentation of Figure 5.  It sees the updates as handed in, so
+        what it measures depends on how the covariance pipeline built the
+        batch: the expanded sparse route hands one update per sample's
+        pair (a pair two samples share carries energy ``Σv²``), the dense
+        and GEMM routes one sum per pair (``(Σv)²``).
     name:
         Label used by experiment tables.
     """
@@ -97,8 +102,16 @@ class SketchEstimator:
         return None, None
 
     def ingest(self, keys, values, num_samples: int = 1) -> None:
-        """Consume a batch of per-key *summed* updates covering
-        ``num_samples`` stream samples."""
+        """Consume a batch of (key, value) updates covering ``num_samples``
+        stream samples.
+
+        A key may repeat within the batch.  Each repeat lands in the
+        sketch as its own update, and an acceptance rule (ASCS's gate)
+        decides every repeat on the same pre-batch estimate, so a linear
+        sketch ends up as if it had ingested the per-key sums, up to
+        summation order.  ``updates_examined`` and ``updates_accepted``
+        count updates as handed in, repeats included.
+        """
         keys, values = validate_batch(keys, values)
         mask, gate_estimates = self._accept(keys, values)
         if mask is None:
@@ -188,7 +201,14 @@ class SketchEstimator:
 
     @property
     def acceptance_rate(self) -> float:
-        """Fraction of examined updates that reached the sketch."""
+        """Fraction of examined updates that reached the sketch.
+
+        Both counts are of updates as handed in, so the rate depends on how
+        the covariance pipeline built them: a pair two samples of a batch
+        share counts once per sample on the expanded sparse route and once
+        on the dense and GEMM routes.  Which route a sparse batch takes is
+        ``repro.covariance.pipeline.GEMM_CROSSOVER``'s call.
+        """
         if self.updates_examined == 0:
             return 1.0
         return self.updates_accepted / self.updates_examined

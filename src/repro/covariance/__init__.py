@@ -11,6 +11,7 @@ from repro.covariance.ground_truth import (
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.covariance.running import ExactCovariance, RunningMoments, SparseMoments
 from repro.covariance.updates import (
+    InvalidBatchError,
     adjustment_matrix,
     aggregate_pair_updates,
     dense_batch_products,
@@ -22,6 +23,7 @@ from repro.covariance.updates import (
 __all__ = [
     "CovarianceSketcher",
     "ExactCovariance",
+    "InvalidBatchError",
     "RunningMoments",
     "SparseMoments",
     "adjustment_matrix",

@@ -20,12 +20,13 @@ the documented production trade-off (DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.covariance.running import RunningMoments, SparseMoments
 from repro.covariance.updates import (
+    InvalidBatchError,
     adjustment_matrix,
     aggregate_pair_updates,
     dense_batch_products,
@@ -47,17 +48,21 @@ _MAX_DENSE_KEYS = 50_000_000
 #: reaches this multiple of the pair count of its index union.  Measured,
 #: not tuned: the ``route`` records of ``BENCH_kernels.json`` time both
 #: routes across the crossover, and the bench's check fails when this
-#: constant sends a swept batch to the slower route.
-GEMM_CROSSOVER = 0.5
+#: constant sends a swept batch to the slower route.  Where the routes
+#: cross depends on the process's allocator history (about 0.35 in a
+#: fresh process, 0.6-0.8 after large arrays came and went; PERF.md,
+#: "Dense/sparse routing"); 0.4 passes that check in both.
+GEMM_CROSSOVER = 0.4
 
 
 def gemm_union(indices: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
     """The sorted index union of a batch when the GEMM route is cheaper.
 
-    Pair expansion costs about one sort of the batch's ``sum m(m-1)/2``
-    pair products; the GEMM route costs about the ``u(u-1)/2`` pairs of
-    the ``u`` distinct indices.  Counting ``u`` takes one sort of the
-    indices.  Returns ``None`` when the batch should expand.
+    Pair expansion hands the sketch all ``sum m(m-1)/2`` pair products of
+    the batch, repeats included; the GEMM route hands it at most the
+    ``u(u-1)/2`` pairs of the ``u`` distinct indices, one sum each.
+    Counting ``u`` takes one sort of the indices.  Returns ``None`` when
+    the batch should expand.
     """
     expanded = int((lengths * (lengths - 1)).sum()) // 2
     if expanded == 0:
@@ -151,17 +156,24 @@ class CovarianceSketcher:
         return self._dense_keys
 
     def fit_dense(self, data: np.ndarray) -> "CovarianceSketcher":
-        """Stream a dense ``(n, d)`` array through the estimator in batches."""
+        """Stream a dense ``(n, d)`` array through the estimator in batches.
+
+        The whole array is checked first, so a non-finite value anywhere
+        refuses it before any batch is applied.
+        """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != self.dim:
             raise ValueError(f"expected shape (n, {self.dim}), got {data.shape}")
+        _require_finite(data)
         for start in range(0, data.shape[0], self.batch_size):
             self.partial_fit_dense(data[start : start + self.batch_size])
         return self
 
     def partial_fit_dense(self, batch: np.ndarray) -> None:
-        """Ingest one dense batch (rows are samples)."""
+        """Ingest one dense batch (rows are samples); refuse non-finite rows
+        before any state changes."""
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        _require_finite(batch)
         b = batch.shape[0]
         if b == 0:
             return
@@ -211,25 +223,37 @@ class CovarianceSketcher:
         Each batch is checked before it changes any state (see
         :func:`repro.covariance.updates.validate_sparse_batch`), then
         expands its pairs or takes one GEMM, whichever :func:`gemm_union`
-        finds cheaper.  Centering other than ``"none"`` is rejected: at
-        sparse scale the paper's section-5 approximation (means negligible
-        vs stds) is the whole point of the fast path.
+        finds cheaper.  A sequence (a list, say) is all or nothing: every
+        batch is checked before the first is applied.  Any other iterable
+        is read batch by batch, so a bad sample raises after the batches
+        before its own were applied.  Centering other than ``"none"`` is
+        rejected: at sparse scale the paper's section-5 approximation
+        (means negligible vs stds) is the whole point of the fast path.
         """
         if self.centering != "none":
             raise ValueError("sparse path supports centering='none' only")
+        size = self.batch_size
+        if isinstance(samples, Sequence):
+            checked = [
+                validate_sparse_batch(samples[start : start + size], self.dim)
+                for start in range(0, len(samples), size)
+            ]
+            for indices, values, lengths in checked:
+                self._apply_sparse_batch(indices, values, lengths)
+            return self
         batch: list[tuple[np.ndarray, np.ndarray]] = []
         for sample in samples:
             batch.append(sample)
-            if len(batch) >= self.batch_size:
-                self._ingest_sparse_batch(batch)
+            if len(batch) >= size:
+                self._apply_sparse_batch(*validate_sparse_batch(batch, self.dim))
                 batch = []
         if batch:
-            self._ingest_sparse_batch(batch)
+            self._apply_sparse_batch(*validate_sparse_batch(batch, self.dim))
         return self
 
-    def _ingest_sparse_batch(self, batch: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        b = len(batch)
-        all_idx, all_val, lengths = validate_sparse_batch(batch, self.dim)
+    def _apply_sparse_batch(self, all_idx, all_val, lengths) -> None:
+        """Apply one batch :func:`validate_sparse_batch` has accepted."""
+        b = lengths.size
         self.sparse_moments.update_batch(all_idx, all_val, num_samples=b)
 
         if self.mode == "correlation" and all_idx.size:
@@ -238,21 +262,27 @@ class CovarianceSketcher:
         union = gemm_union(all_idx, lengths)
         if union is None:
             # One fused kernel expands every sample's m*(m-1)/2 pairs at
-            # once — identical output to looping sparse_sample_pairs.
-            keys, products = sparse_batch_pairs(all_idx, all_val, lengths, self.dim)
-            keys, sums = aggregate_pair_updates([keys], [products])
+            # once.  A key two samples share arrives once per sample: the
+            # sketches are linear and the ASCS gate reads the pre-batch
+            # estimate, so only a sketch that acts on each occurrence's
+            # magnitude asks for per-key sums.
+            keys, values = sparse_batch_pairs(all_idx, all_val, lengths, self.dim)
+            sketch = getattr(self.estimator, "sketch", None)
+            if getattr(sketch, "needs_key_sums", False):
+                keys, values = aggregate_pair_updates([keys], [values])
         else:
-            keys, sums = self._gemm_pair_updates(all_idx, all_val, lengths, union)
-        self.estimator.ingest(keys, sums, num_samples=b)
+            keys, values = self._gemm_pair_updates(all_idx, all_val, lengths, union)
+        self.estimator.ingest(keys, values, num_samples=b)
         self.samples_seen += b
 
     def _gemm_pair_updates(self, indices, values, lengths, union):
-        """The expanded route's keys and sums, from one GEMM over ``union``.
+        """Per-key sums of the batch's pair products, from one GEMM over
+        ``union``.
 
-        Same keys in the same order; for finite values each sum adds the
-        same products in another order.  Absent indices are zeros of the
-        ``(b, u)`` block, so only the pairs some sample co-observes are
-        kept.
+        The keys are the expanded route's distinct keys, ascending; each
+        sum adds that key's products in another order.  Absent indices are
+        zeros of the ``(b, u)`` block, so only the pairs some sample
+        co-observes are kept.
         """
         u = union.size
         rows = np.repeat(np.arange(lengths.size), lengths)
@@ -317,6 +347,11 @@ class CovarianceSketcher:
         # One shared fixed-buffer scan kernel (the serving snapshot builder
         # uses the same one with a two-sided rank transform).
         return scan_top_keys(self.estimate_keys, self.num_pairs, k, chunk=chunk)
+
+
+def _require_finite(rows: np.ndarray) -> None:
+    if not np.isfinite(rows).all():
+        raise InvalidBatchError("dense rows must be finite")
 
 
 def _iter_csr_rows(matrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:

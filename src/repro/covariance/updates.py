@@ -33,6 +33,7 @@ __all__ = [
     "sparse_batch_pairs",
     "aggregate_pair_updates",
     "validate_sparse_batch",
+    "InvalidBatchError",
 ]
 
 
@@ -158,8 +159,10 @@ def sparse_batch_pairs(
     owns the slice ``[sum(lengths[:s]), sum(lengths[:s+1]))``.  The output
     equals concatenating :func:`sparse_sample_pairs` over the samples in
     order (same keys, same products, same ordering), but the whole batch is
-    expanded with one ``lexsort`` plus a handful of ``repeat``/``cumsum``
-    kernels instead of a Python loop over samples.
+    expanded with a handful of ``repeat``/``cumsum`` kernels instead of a
+    Python loop over samples.  Samples are sorted with one ``lexsort``
+    unless every one already ascends.  A key repeats in the output when
+    two samples share its pair; nothing here sums repeats.
 
     The expansion works on the per-sample-sorted arrays: the element at
     local position ``a`` of a sample with ``m`` non-zeros is the row of
@@ -181,11 +184,15 @@ def sparse_batch_pairs(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
     # Sort indices *within* each sample (stable, matching the per-sample
-    # argsort of sparse_sample_pairs).
-    sample_id = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    order = np.lexsort((indices, sample_id))
-    idx = indices[order]
-    val = values[order]
+    # argsort of sparse_sample_pairs); samples that already ascend are
+    # their own sorted order.
+    if _samples_ascend(indices, lengths):
+        idx, val = indices, values
+    else:
+        sample_id = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        order = np.lexsort((indices, sample_id))
+        idx = indices[order]
+        val = values[order]
 
     starts = np.cumsum(lengths) - lengths  # first slot of each sample
     m_of = np.repeat(lengths, lengths)  # sample size, per element
@@ -203,25 +210,45 @@ def sparse_batch_pairs(
     return keys, val[rows] * val[cols]
 
 
+def _samples_ascend(indices: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether every sample's slice of ``indices`` strictly ascends: O(nnz)."""
+    # A step between neighbours of one sample must climb; steps that cross
+    # into the next sample are exempt.
+    climbs = np.diff(indices) > 0
+    starts = np.cumsum(lengths)[:-1]
+    climbs[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    return bool(climbs.all())
+
+
+class InvalidBatchError(ValueError):
+    """A batch failed its checks before it changed any state.
+
+    The fault is the input's, not the write path's: the HTTP layer answers
+    400, the ingest circuit breaker counts it neither way, and WAL replay
+    sets such a record aside instead of failing recovery.
+    """
+
+
 def validate_sparse_batch(
     samples, dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check a batch of sparse ``(indices, values)`` samples; concatenate it.
 
     Returns ``(indices, values, lengths)`` in the layout
-    :func:`sparse_batch_pairs` takes.  Raises ``ValueError`` unless every
-    sample's indices and values are aligned 1-D arrays, every index lies
-    in ``[0, dim)`` and no index repeats within a sample, so a caller that
-    validates first refuses a bad batch before any state changes.
-    Samples whose indices ascend pass in O(nnz); any other sample order
-    costs one ``lexsort``.
+    :func:`sparse_batch_pairs` takes.  Raises :class:`InvalidBatchError`
+    (a ``ValueError``) unless every sample's indices and values are
+    aligned 1-D arrays, every index lies in ``[0, dim)``, no index repeats
+    within a sample and every value is finite, so a caller that validates
+    first refuses a bad batch before any state changes.  A missing feature
+    is an absent index, never a NaN.  Samples whose indices ascend pass in
+    O(nnz); any other sample order costs one ``lexsort``.
     """
     idx_arrays, val_arrays = [], []
     for sample in samples:
         indices = np.asarray(sample[0], dtype=np.int64)
         values = np.asarray(sample[1], dtype=np.float64)
         if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError("indices and values must be aligned 1-D arrays")
+            raise InvalidBatchError("indices and values must be aligned 1-D arrays")
         idx_arrays.append(indices)
         val_arrays.append(values)
     lengths = np.asarray([a.size for a in idx_arrays], dtype=np.int64)
@@ -231,17 +258,17 @@ def validate_sparse_batch(
     indices = np.concatenate(idx_arrays)
     values = np.concatenate(val_arrays)
     if indices.min() < 0 or indices.max() >= dim:
-        raise ValueError(f"sample indices must lie in [0, {dim})")
-    # A step between neighbours of one sample must climb; steps that cross
-    # into the next sample are exempt.
-    climbs = np.diff(indices) > 0
-    starts = np.cumsum(lengths)[:-1]
-    climbs[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-    if not climbs.all():
+        raise InvalidBatchError(f"sample indices must lie in [0, {dim})")
+    if not np.isfinite(values).all():
+        raise InvalidBatchError(
+            "sample values must be finite; leave a missing feature out of "
+            "the indices instead"
+        )
+    if not _samples_ascend(indices, lengths):
         sample = np.repeat(np.arange(lengths.size), lengths)
         ordered = indices[np.lexsort((indices, sample))]
         if ((ordered[1:] == ordered[:-1]) & (sample[1:] == sample[:-1])).any():
-            raise ValueError("a sample repeats an index")
+            raise InvalidBatchError("a sample repeats an index")
     return indices, values, lengths
 
 
@@ -251,8 +278,10 @@ def aggregate_pair_updates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combine per-sample pair updates into unique (key, summed value) arrays.
 
-    Batching the stream this way is exact for any linear sketch: inserting
-    the per-key sums is identical to inserting each sample separately.
+    A linear sketch does not need this: inserting the per-key sums equals
+    inserting each update, up to summation order.  The pipeline calls it
+    only for sketches whose ``needs_key_sums`` is set (Cold Filter, whose
+    gate acts on each occurrence's magnitude).
     """
     if not keys_list:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)

@@ -14,6 +14,10 @@ three-state pattern:
   probe; success closes the circuit, failure re-opens it for another full
   cooldown.
 
+A call that turns its input away before the protected operation runs
+(:meth:`CircuitBreaker.record_refusal`) counts neither way, so one
+client's malformed batches cannot shed every client's ingest.
+
 The clock is injectable (``time_fn``) so the fault-injection suite drives
 state transitions deterministically instead of sleeping.
 """
@@ -149,6 +153,13 @@ class CircuitBreaker:
                 self._closes_total.inc()
             self._consecutive_failures = 0
             self._opened_at = None
+            self._probe_in_flight = False
+
+    def record_refusal(self) -> None:
+        """The call turned its input away before the protected operation
+        ran: it counts neither as a success nor as a failure, and a
+        half-open probe slot opens for the next call."""
+        with self._lock:
             self._probe_in_flight = False
 
     def record_failure(self) -> None:

@@ -29,6 +29,8 @@ Layout of a durable directory::
                         is then a marker written *after* the ring, so a
                         half-written ring is never considered valid
     *.corrupt           quarantined artifacts (renamed, never deleted)
+    refused-<seq>.npz   a WAL record replay set aside because it fails
+                        the batch checks (see DurableSketcher._replay)
 
 The wrapper quacks like the write side it wraps (``dim`` / ``mode`` /
 ``samples_seen`` / ``fit_sparse`` / ``estimator`` /
@@ -49,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.covariance.updates import validate_sparse_batch
+from repro.covariance.updates import InvalidBatchError, validate_sparse_batch
 from repro.distributed.shard import (
     ShardSpec,
     extract_shard_result,
@@ -153,6 +155,11 @@ class DurableSketcher:
             "repro_wal_replayed_records_total",
             "WAL records replayed during recovery",
         )
+        self._refused_total = self.registry.counter(
+            "repro_wal_refused_records_total",
+            "WAL records set aside during recovery: they fail the batch checks",
+        )
+        self.refused_records = 0
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         recipe_path = self.directory / _RECIPE
@@ -494,6 +501,11 @@ class DurableSketcher:
         first replayed record must be ``after + 1`` — a gap means the WAL
         was pruned past what this checkpoint covers (all newer checkpoints
         were lost), which is unrecoverable without silent divergence.
+
+        A record that fails today's batch checks was journalled by an
+        older writer that did not check first (a NaN value, an index past
+        ``dim``).  It is set aside instead of applied, so the directory
+        still opens: see :meth:`_set_aside`.
         """
         expected = after + 1
         replayed = 0
@@ -505,11 +517,44 @@ class DurableSketcher:
                     f"{expected}..{seq - 1} were pruned or lost; recovery "
                     "cannot reconstruct the stream bit-identically"
                 )
-            self._inner.fit_sparse(iter(samples))
+            try:
+                # A list is checked whole before any of it is applied.
+                self._inner.fit_sparse(samples)
+            except InvalidBatchError as exc:
+                self._set_aside(seq, samples, exc)
+            else:
+                self._replayed_total.inc()
             expected = seq + 1
             replayed += 1
-            self._replayed_total.inc()
         return replayed
+
+    def _set_aside(self, seq: int, samples: list, reason: Exception) -> None:
+        """Keep a refused WAL record as ``refused-<seq>.npz`` and log why.
+
+        Nothing of the record reaches the write side, which so holds the
+        state today's writer would have built by refusing the batch.  The
+        copy outlives the segment, which the next checkpoint prunes.
+        """
+        path = self.directory / f"refused-{seq:08d}.npz"
+        logger.warning(
+            "setting aside WAL record %d of %s as %s: %s",
+            seq,
+            self.directory,
+            path.name,
+            reason,
+        )
+        self.refused_records += 1
+        self._refused_total.inc()
+        write_npz(
+            path,
+            {
+                "seq": np.asarray(seq, dtype=np.int64),
+                "reason": np.asarray(str(reason)),
+                "lengths": np.asarray([len(i) for i, _ in samples], dtype=np.int64),
+                "indices": np.concatenate([i for i, _ in samples]),
+                "values": np.concatenate([v for _, v in samples]),
+            },
+        )
 
     # ------------------------------------------------------------------
     # Write side (the ServingEstimator duck-type surface)
@@ -589,6 +634,7 @@ class DurableSketcher:
             "checkpoint_every": self.checkpoint_every,
             "wal_lag": self.wal_lag,
             "replayed_records": self.replayed_records,
+            "refused_records": self.refused_records,
             "recovered_from": self.recovered_from,
             "journal": self.journal.stats(),
         }

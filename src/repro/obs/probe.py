@@ -11,7 +11,10 @@ own signal-to-noise online*, not in offline experiments.
   gauge, and normalises it by a baseline SNR (pass the vanilla-CS theory
   value from :func:`repro.theory.snr.model_stream_snr`) into the observed
   **ROSNR** gauge — the exact quantity Theorem 3 lower-bounds and the
-  future AutoScaler watches;
+  future AutoScaler watches.  It sees the updates the estimator is
+  handed, so a pair several samples of a batch share adds ``Σv²`` when
+  the sparse batch expands and ``(Σv)²`` on the dense and GEMM routes,
+  and the reservoir offers it once per update;
 * **read-side re-querying** — the probe keeps a bounded reservoir of
   tracked keys: the *planted* signal keys plus a uniform reservoir sample
   (Algorithm R) of accepted noise keys, and a seeded set of **collision

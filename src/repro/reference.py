@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.covariance.updates import aggregate_pair_updates, sparse_sample_pairs
+from repro.covariance.updates import sparse_sample_pairs
 from repro.hashing.families import SignHash, make_family
 from repro.sketch.base import ValueSketch, validate_batch
 
@@ -25,7 +25,6 @@ __all__ = [
     "LegacyTopKTracker",
     "LegacySparseMoments",
     "legacy_sparse_batch_pairs",
-    "legacy_aggregate_sparse_batch",
 ]
 
 
@@ -286,10 +285,3 @@ def legacy_sparse_batch_pairs(
     if not keys_list:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     return np.concatenate(keys_list), np.concatenate(values_list)
-
-
-def legacy_aggregate_sparse_batch(indices, values, lengths, dim):
-    """Per-sample expansion plus aggregation, as the pre-fusion sparse
-    pipeline performed it (expansion loop feeding aggregate_pair_updates)."""
-    keys, products = legacy_sparse_batch_pairs(indices, values, lengths, dim)
-    return aggregate_pair_updates([keys], [products])

@@ -25,6 +25,7 @@ import time
 import numpy as np
 
 from repro.covariance.pipeline import CovarianceSketcher
+from repro.covariance.updates import InvalidBatchError
 from repro.durability.breaker import CircuitBreaker
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.serving.engine import QueryEngine
@@ -317,15 +318,22 @@ class ServingEstimator:
     def ingest_sparse(self, samples) -> None:
         """Stream sparse ``(indices, values)`` samples into the write side.
 
-        Guarded by the ingest circuit breaker: while the write path is
-        failing repeatedly, calls are rejected instantly with
+        A list (an ``/ingest`` body) is applied whole or not at all; see
+        :meth:`repro.covariance.CovarianceSketcher.fit_sparse`.  Guarded by
+        the ingest circuit breaker: while the write path is failing
+        repeatedly, calls are rejected instantly with
         :class:`~repro.durability.CircuitOpenError` instead of queueing on
-        the write lock.
+        the write lock.  A batch refused by its checks
+        (:class:`~repro.covariance.InvalidBatchError`) is the caller's
+        fault and does not count as a write-path failure.
         """
         self.breaker.before_call()
         try:
             with self._ingest_seconds.time(), self._write_lock:
-                self.sketcher.fit_sparse(iter(samples))
+                self.sketcher.fit_sparse(samples)
+        except InvalidBatchError:
+            self.breaker.record_refusal()
+            raise
         except Exception:
             self.breaker.record_failure()
             raise
@@ -334,11 +342,15 @@ class ServingEstimator:
         self._maybe_autoscale()
 
     def ingest_dense(self, batch: np.ndarray) -> None:
-        """Stream a dense ``(n, d)`` batch into the write side."""
+        """Stream a dense ``(n, d)`` batch into the write side, under the
+        same breaker discipline as :meth:`ingest_sparse`."""
         self.breaker.before_call()
         try:
             with self._ingest_seconds.time(), self._write_lock:
                 self.sketcher.fit_dense(np.atleast_2d(np.asarray(batch)))
+        except InvalidBatchError:
+            self.breaker.record_refusal()
+            raise
         except Exception:
             self.breaker.record_failure()
             raise

@@ -50,6 +50,11 @@ class ColdFilterSketch(ValueSketch):
         quarter-float per counter in the budget accounting).
     """
 
+    # The gate takes |value| and forwards overflow per occurrence, so the
+    # repeats of a key within a batch gate and forward differently from
+    # their sum (|a| + |b| is not |a + b|): insert wants one sum per key.
+    needs_key_sums = True
+
     def __init__(
         self,
         num_tables: int,

@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Sequence
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from repro.covariance.pipeline import CovarianceSketcher
+from repro.covariance.updates import validate_sparse_batch
 from repro.distributed.reduce import merge_shard_results
 from repro.distributed.shard import (
     ShardResult,
@@ -261,8 +263,12 @@ class PaneRing:
         return total
 
     # Alias so the ring can stand in for a CovarianceSketcher write side
-    # (ServingEstimator.ingest_sparse calls fit_sparse).
+    # (ServingEstimator.ingest_sparse calls fit_sparse).  A sequence is
+    # checked whole first, so a bad sample refuses it before any pane
+    # fills or rotates, as CovarianceSketcher.fit_sparse refuses it.
     def fit_sparse(self, samples) -> "PaneRing":
+        if isinstance(samples, Sequence):
+            validate_sparse_batch(samples, self.spec.dim)
         self.ingest(samples)
         return self
 

@@ -87,7 +87,13 @@ class SNRRecorder:
     def __call__(
         self, t: int, keys: np.ndarray, values: np.ndarray, mask: np.ndarray
     ) -> None:
-        """Observer hook: record the energy of accepted updates."""
+        """Observer hook: record the energy of accepted updates.
+
+        The updates are the estimator's, so the energy of a pair that
+        several samples of a batch share depends on the pipeline's route:
+        ``Σv²`` when the batch expands, ``(Σv)²`` on the dense and GEMM
+        routes.
+        """
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)

@@ -514,12 +514,23 @@ class TestDurableCheckpoints:
     def test_refused_batch_is_not_journalled(self, tmp_path):
         """A malformed batch raises before the WAL holds it, so the
         directory still recovers."""
+        self._refuse_then_recover(
+            tmp_path, (np.array([3, 9, 3]), np.array([1.0, 2.0, 3.0]))
+        )
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_is_not_journalled(self, bad_value, tmp_path):
+        self._refuse_then_recover(
+            tmp_path, (np.array([3, 9]), np.array([1.0, bad_value]))
+        )
+
+    def _refuse_then_recover(self, tmp_path, bad_sample):
         spec = SPECS["float64"]
         batches = _batches(spec, num_batches=4)
         durable = DurableSketcher(tmp_path, spec, checkpoint_every=0)
         for batch in batches[:2]:
             durable.fit_sparse(batch)
-        bad = batches[2] + [(np.array([3, 9, 3]), np.array([1.0, 2.0, 3.0]))]
+        bad = batches[2] + [bad_sample]
         with pytest.raises(ValueError):
             durable.fit_sparse(bad)
         durable.fit_sparse(batches[3])
@@ -533,6 +544,77 @@ class TestDurableCheckpoints:
         for batch in batches[:2] + batches[3:]:
             reference.fit_sparse(iter(batch))
         _assert_bit_identical(recovered, reference, spec)
+
+    @pytest.mark.parametrize("windowed", [False, True], ids=["plain", "windowed"])
+    @pytest.mark.parametrize(
+        "bad_sample",
+        [
+            (np.array([3, 9]), np.array([1.0, np.nan])),
+            (np.array([3, 9]), np.array([np.inf, 2.0])),
+            (np.array([3, 48]), np.array([1.0, 2.0])),
+        ],
+        ids=["nan", "inf", "index-past-dim"],
+    )
+    def test_replay_sets_aside_what_an_older_writer_journalled(
+        self, windowed, bad_sample, tmp_path, caplog
+    ):
+        """A WAL written before batches were checked first can hold a
+        record today's checks refuse.  Replay keeps a copy of it aside
+        and opens, with the state today's writer builds by refusing it."""
+        from repro.serving import ServingEstimator
+        from repro.streaming import PaneRing
+
+        spec = SPECS["float64"]
+        # 12-sample batches, so the window rotates its 32-sample panes.
+        batches = _batches(spec, num_batches=4, batch_samples=12)
+        geometry = dict(num_panes=3, pane_samples=32) if windowed else {}
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=0, **geometry)
+        for batch in batches[:2]:
+            durable.fit_sparse(batch)
+        # What an older writer did: journal the batch without checking it.
+        bad = batches[2] + [bad_sample]
+        assert durable.journal.append(bad) == 2
+        durable.fit_sparse(batches[3])
+        durable.close()
+
+        reference = PaneRing(spec, **geometry) if windowed else spec.build_sketcher()
+        for batch in batches[:2] + batches[3:]:
+            reference.fit_sparse(iter(batch))
+
+        def assert_matches_reference(sketcher):
+            assert sketcher.samples_seen == reference.samples_seen
+            if windowed:
+                np.testing.assert_array_equal(
+                    sketcher.window().estimator.sketch.table,
+                    reference.window().estimator.sketch.table,
+                )
+            else:
+                _assert_bit_identical(sketcher, reference, spec)
+
+        with caplog.at_level("WARNING"):
+            recovered = DurableSketcher(tmp_path, checkpoint_every=0)
+        assert "setting aside WAL record 2" in caplog.text
+        assert (recovered.replayed_records, recovered.refused_records) == (4, 1)
+        assert recovered.stats()["refused_records"] == 1
+        assert_matches_reference(recovered)
+        with np.load(tmp_path / "refused-00000002.npz") as kept:
+            assert int(kept["seq"]) == 2
+            np.testing.assert_array_equal(
+                kept["lengths"], [idx.size for idx, _ in bad]
+            )
+            np.testing.assert_array_equal(
+                kept["indices"], np.concatenate([idx for idx, _ in bad])
+            )
+            np.testing.assert_array_equal(
+                kept["values"], np.concatenate([val for _, val in bad])
+            )
+        # Once a checkpoint covers the record, nothing is set aside again.
+        recovered.checkpoint()
+        recovered.close()
+        serving = ServingEstimator.durable(tmp_path)
+        serving.sketcher.close()
+        assert serving.sketcher.refused_records == 0
+        assert_matches_reference(serving.sketcher)
 
     def test_serving_ingests_dense_rows_durably(self, tmp_path):
         from repro.serving import ServingEstimator

@@ -11,11 +11,7 @@ import pytest
 from repro.core.ascs import ActiveSamplingCountSketch
 from repro.core.estimator import SketchEstimator
 from repro.core.schedule import ThresholdSchedule
-from repro.covariance.updates import (
-    aggregate_pair_updates,
-    sparse_batch_pairs,
-    sparse_sample_pairs,
-)
+from repro.covariance.updates import sparse_batch_pairs, sparse_sample_pairs
 from repro.hashing.families import MultiTableHasher, SignHash, make_family
 from repro.reference import (
     LegacyCountMinSketch,
@@ -464,6 +460,25 @@ class TestTrackerEquivalence:
         np.testing.assert_array_equal(fk, lk)
         np.testing.assert_array_equal(fe, le)
 
+    def test_offers_of_ascending_runs_identical(self, rng):
+        """Offers shaped like the expanded route's: many short ascending
+        runs whose keys repeat within and across offers, in buffers of
+        thousands of entries."""
+        fused = TopKTracker(500)
+        legacy = LegacyTopKTracker(500)
+        for _ in range(20):
+            runs = [np.sort(rng.integers(0, 3000, size=60)) for _ in range(32)]
+            keys = np.concatenate(runs)
+            ests = rng.standard_normal(keys.size)
+            fused.offer(keys, ests)
+            legacy.offer(keys, ests)
+            assert len(fused) == len(legacy)
+            np.testing.assert_array_equal(fused.candidates(), legacy.candidates())
+        fk, fe = fused.top_k(100)
+        lk, le = legacy.top_k(100)
+        np.testing.assert_array_equal(fk, lk)
+        np.testing.assert_array_equal(fe, le)
+
     def test_requery_against_sketch_identical(self, rng):
         sketch = CountSketch(5, 1024, seed=6)
         keys = rng.integers(0, 10**9, size=500)
@@ -563,6 +578,26 @@ class TestSparseBatchPairs:
         np.testing.assert_array_equal(fused[0], legacy[0])
         np.testing.assert_array_equal(fused[1], legacy[1])
 
+    def test_shuffled_samples_match_ascending_ones(self, rng):
+        """Ascending samples skip the within-sample sort; a within-sample
+        shuffle of them takes it and must expand to the same output."""
+        dim = 3000
+        indices, values, lengths = _random_sparse_batch(rng, 20, dim, 30)
+        starts = np.cumsum(lengths) - lengths
+        ascending = np.concatenate(
+            [s + np.argsort(indices[s : s + m]) for s, m in zip(starts, lengths)]
+        )
+        shuffled = np.concatenate(
+            [s + rng.permutation(m) for s, m in zip(starts, lengths)]
+        )
+        assert not np.array_equal(indices[ascending], indices[shuffled])
+        fused = sparse_batch_pairs(indices[ascending], values[ascending], lengths, dim)
+        reshuffled = sparse_batch_pairs(
+            indices[shuffled], values[shuffled], lengths, dim
+        )
+        np.testing.assert_array_equal(fused[0], reshuffled[0])
+        np.testing.assert_array_equal(fused[1], reshuffled[1])
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="lengths"):
             sparse_batch_pairs(
@@ -576,7 +611,8 @@ class TestSparseBatchPairs:
 class TestEndToEndSparsePipeline:
     def test_fused_pipeline_matches_legacy_expansion(self, rng):
         """A full fit_sparse run must leave exactly the same sketch state as
-        the legacy per-sample expansion feeding the same estimator."""
+        the legacy per-sample expansion feeding the same estimator its
+        per-sample pair stream."""
         from repro.covariance.pipeline import CovarianceSketcher
 
         dim, n = 400, 64
@@ -587,22 +623,20 @@ class TestEndToEndSparsePipeline:
             samples.append((feats, rng.standard_normal(m)))
 
         est_fused = SketchEstimator(CountSketch(5, 4096, seed=12), n, track_top=64)
-        pipe = CovarianceSketcher(
-            dim, est_fused, mode="covariance", batch_size=16
-        )
+        pipe = CovarianceSketcher(dim, est_fused, mode="covariance", batch_size=16)
         pipe.fit_sparse(iter(samples))
 
         est_ref = SketchEstimator(LegacyCountSketch(5, 4096, seed=12), n)
         for start in range(0, n, 16):
             chunk = samples[start : start + 16]
-            keys_list, values_list = [], []
-            for feats, vals in chunk:
-                keys, products = sparse_sample_pairs(feats, vals, dim)
-                if keys.size:
-                    keys_list.append(keys)
-                    values_list.append(products)
-            keys, sums = aggregate_pair_updates(keys_list, values_list)
-            est_ref.ingest(keys, sums, num_samples=len(chunk))
+            lengths = np.asarray([feats.size for feats, _ in chunk])
+            keys, products = legacy_sparse_batch_pairs(
+                np.concatenate([feats for feats, _ in chunk]),
+                np.concatenate([vals for _, vals in chunk]),
+                lengths,
+                dim,
+            )
+            est_ref.ingest(keys, products, num_samples=len(chunk))
 
         np.testing.assert_array_equal(
             est_fused.sketch.table, est_ref.sketch.table

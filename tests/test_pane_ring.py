@@ -76,6 +76,17 @@ class TestRotation:
         assert ring.rotate() is not None
         assert ring.rotate() is None  # fresh open pane is empty again
 
+    def test_a_bad_list_fills_and_rotates_nothing(self, rng):
+        """fit_sparse (the serving write side's entry) refuses a list whose
+        last sample is bad before any pane fills or rotates."""
+        ring = PaneRing(_spec(), num_panes=4, pane_samples=2 * BATCH)
+        samples = _integer_stream(rng, 5 * BATCH)
+        samples[-1] = (np.array([3, DIM]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            ring.fit_sparse(samples)
+        assert ring.samples_seen == 0
+        assert ring.rotations == 0
+
     def test_incremental_ingest_equals_bulk(self, rng):
         """Feeding batch-aligned chunks across calls matches one big call."""
         samples = _integer_stream(rng, 12 * BATCH)

@@ -196,6 +196,53 @@ class TestErrorsAndReadOnlyTargets:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize("bad", ["nan-literal", "bad-last-row"])
+    def test_refused_ingest_changes_no_stats(self, bad, rng):
+        """A refused ``/ingest`` is a 400 that applies nothing: a ``NaN``
+        literal (``json.loads`` accepts it), or a 40-row body whose last
+        row names an index past ``dim``, two batches of 32 after the
+        first would have applied."""
+        estimator = SketchEstimator(CountSketch(3, 512, seed=31), total_samples=1000)
+        sketcher = CovarianceSketcher(DIM, estimator, batch_size=32)
+        serving = ServingEstimator(sketcher, top_index=64)
+        server, _ = serve_in_background(serving)
+        client = ServingClient(server.url)
+        rows = [[idx.tolist(), val.tolist()] for idx, val in _make_samples(40, rng)]
+        if bad == "nan-literal":
+            rows[7][1][2] = float("nan")
+        else:
+            rows[-1][0][-1] = DIM
+        body = json.dumps({"samples": rows})
+        assert ("NaN" in body) == (bad == "nan-literal")
+
+        def write_side():
+            # Everything but the request tallies and the clock: a refusal
+            # is no write failure, so the breaker's counts stay too.
+            stats = client.stats()
+            for key in ("http", "stale_seconds"):
+                stats.pop(key)
+            return stats
+
+        try:
+            client.ingest(_make_samples(8, rng))
+            before = write_side()
+            table = estimator.sketch.table.copy()
+            request = urllib.request.Request(
+                f"{server.url}/ingest",
+                data=body.encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
+            assert write_side() == before
+            assert before["write_samples_seen"] == 8
+            np.testing.assert_array_equal(estimator.sketch.table, table)
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_out_of_range_keys_is_400(self, serving_server):
         _, server, _ = serving_server
         request = urllib.request.Request(

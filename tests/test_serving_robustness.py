@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import SketchEstimator
+from repro.covariance import InvalidBatchError
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.durability.breaker import CircuitBreaker, CircuitOpenError
 from repro.durability.faults import Flaky
@@ -66,6 +67,26 @@ def _no_sleep(_seconds):
     pass
 
 
+#: One sample each that the batch checks refuse: NaN and ±inf values, an
+#: index past ``DIM``, an index repeated within the sample.
+REFUSED_BATCHES = [
+    (np.asarray([1, 4]), np.asarray([1.0, np.nan])),
+    (np.asarray([1, 4]), np.asarray([np.inf, 2.0])),
+    (np.asarray([1, 4]), np.asarray([1.0, -np.inf])),
+    (np.asarray([0, DIM]), np.asarray([1.0, 2.0])),
+    (np.asarray([4, 1, 4]), np.asarray([1.0, 2.0, 3.0])),
+]
+
+
+def _fail_writes(serving, *, times):
+    """Make the write side's next ``times`` ingests raise ``OSError``."""
+    serving.sketcher.fit_sparse = Flaky(
+        serving.sketcher.fit_sparse,
+        failures=times,
+        exc_factory=lambda: OSError("injected: disk full"),
+    )
+
+
 # ----------------------------------------------------------------------
 # Circuit breaker unit behaviour
 # ----------------------------------------------------------------------
@@ -107,6 +128,21 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == "closed"  # never two *consecutive* failures
+
+    def test_refusal_counts_neither_way(self):
+        breaker, clock = self._clocked(failure_threshold=2, reset_after=5.0)
+        breaker.record_failure()
+        breaker.record_refusal()
+        assert breaker.stats()["consecutive_failures"] == 1
+        breaker.record_failure()
+        assert breaker.state == "open"
+        clock[0] = 6.0
+        breaker.before_call()  # the probe, refused
+        breaker.record_refusal()
+        assert breaker.state == "half-open"
+        breaker.before_call()  # the slot is free for the next probe
+        breaker.record_success()
+        assert breaker.state == "closed"
 
     def test_call_wrapper_counts(self):
         breaker, _ = self._clocked(failure_threshold=2)
@@ -220,10 +256,10 @@ class TestStaleButAvailable:
                 failure_threshold=2, reset_after=30.0, time_fn=lambda: clock[0]
             ),
         )
-        bad = [(np.asarray([0, 99999]), np.asarray([1.0, 2.0]))]
+        _fail_writes(serving, times=2)
         for _ in range(2):
-            with pytest.raises((ValueError, IndexError)):
-                serving.ingest_sparse(bad)
+            with pytest.raises(OSError):
+                serving.ingest_sparse(_make_samples(4, rng))
         assert serving.breaker.state == "open"
         with pytest.raises(CircuitOpenError):
             serving.ingest_sparse(_make_samples(4, rng))
@@ -235,6 +271,51 @@ class TestStaleButAvailable:
         serving.ingest_sparse(_make_samples(4, rng))
         assert serving.breaker.state == "closed"
         assert serving.health()["status"] == "ok"
+
+    def test_refused_batches_leave_the_breaker_closed(self, rng):
+        """A batch its checks refuse is the caller's fault, not the write
+        path's: five in a row (the default threshold) open nothing, and
+        a refusal between two write failures does not reset their run."""
+        clock = [0.0]
+        serving = _make_serving(rng, breaker=CircuitBreaker(time_fn=lambda: clock[0]))
+        assert serving.breaker.failure_threshold == 5
+        seen = serving.sketcher.samples_seen
+        for bad in REFUSED_BATCHES:
+            with pytest.raises(InvalidBatchError):
+                serving.ingest_sparse(_make_samples(3, rng) + [bad])
+        assert serving.breaker.stats()["consecutive_failures"] == 0
+        assert serving.breaker.state == "closed"
+        assert serving.sketcher.samples_seen == seen
+
+        _fail_writes(serving, times=4)
+        for _ in range(4):
+            with pytest.raises(OSError):
+                serving.ingest_sparse(_make_samples(4, rng))
+        with pytest.raises(InvalidBatchError):
+            serving.ingest_sparse([REFUSED_BATCHES[0]])
+        assert serving.breaker.stats()["consecutive_failures"] == 4
+        _fail_writes(serving, times=1)
+        with pytest.raises(OSError):
+            serving.ingest_sparse(_make_samples(4, rng))
+        assert serving.breaker.state == "open"
+
+    def test_a_refused_probe_frees_the_half_open_slot(self, rng):
+        clock = [0.0]
+        serving = _make_serving(
+            rng,
+            breaker=CircuitBreaker(
+                failure_threshold=1, reset_after=30.0, time_fn=lambda: clock[0]
+            ),
+        )
+        _fail_writes(serving, times=1)
+        with pytest.raises(OSError):
+            serving.ingest_sparse(_make_samples(4, rng))
+        clock[0] = 31.0
+        with pytest.raises(InvalidBatchError):
+            serving.ingest_sparse([REFUSED_BATCHES[0]])
+        assert serving.breaker.state == "half-open"
+        serving.ingest_sparse(_make_samples(4, rng))
+        assert serving.breaker.state == "closed"
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +414,9 @@ class TestServerDegradation:
         server, _thread = serve_in_background(serving)
         try:
             client = ServingClient(server.url, retries=0)
-            with pytest.raises((ValueError, IndexError)):
-                serving.ingest_sparse(
-                    [(np.asarray([0, 99999]), np.asarray([1.0, 2.0]))]
-                )
+            _fail_writes(serving, times=1)
+            with pytest.raises(OSError):
+                serving.ingest_sparse(_make_samples(2, rng))
             assert serving.breaker.state == "open"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 client.ingest(_make_samples(2, rng))
