@@ -37,6 +37,15 @@ by a :class:`~repro.sketch.HierarchicalCountSketch`, ``/above`` answers
 over the full pair space by sketch descent even with no materialized
 index (see ``SketchSnapshot.pairs_above``).
 
+Request framing is checked before any route runs: a malformed or
+negative ``Content-Length`` is a 400, a ``Transfer-Encoding`` body a
+411 and a body over :data:`MAX_BODY_BYTES` a 413, each closing the
+connection with the body unread.  Socket reads and writes time out after
+``_Handler.timeout`` seconds, so a stalled body gets a 408 instead of
+pinning a handler thread.  Indices in ``/query`` and ``/ingest`` bodies
+must be integers that fit int64; a float or a larger integer is a 400,
+never truncated.
+
 Degradation model
 -----------------
 When the server fronts a :class:`ServingEstimator`, ``GET /health``
@@ -80,7 +89,16 @@ from repro.serving.engine import QueryEngine
 from repro.serving.live import ServingEstimator
 from repro.serving.snapshot import SketchSnapshot
 
-__all__ = ["ServingHTTPServer", "ServingClient", "serve_in_background"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "ServingHTTPServer",
+    "ServingClient",
+    "serve_in_background",
+]
+
+#: Largest request body the server accepts.  A longer ``Content-Length``
+#: is refused with 413 and the connection closed with the body unread.
+MAX_BODY_BYTES = 64 << 20
 
 #: Content type of the ``/metrics`` body (Prometheus text format 0.0.4).
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -115,6 +133,10 @@ _UNGATED_ROUTES = frozenset({("GET", "/health"), ("GET", "/metrics")})
 class _Handler(BaseHTTPRequestHandler):
     # The handler is stateless; everything lives on self.server.
     protocol_version = "HTTP/1.1"
+    #: Seconds any socket read or write may block.  A body that stalls
+    #: past it gets a 408 instead of pinning a handler thread, and an
+    #: idle keep-alive connection is closed.
+    timeout = 60.0
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test/bench output clean
@@ -130,11 +152,15 @@ class _Handler(BaseHTTPRequestHandler):
         """
         remaining = self._body_remaining
         self._body_remaining = 0
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 1 << 16))
-            if not chunk:
-                break
-            remaining -= len(chunk)
+        try:
+            while remaining > 0:
+                chunk = self.rfile.read(min(remaining, 1 << 16))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+        except TimeoutError:
+            # Still answer; the unread rest makes the connection unusable.
+            self.close_connection = True
 
     def _reply(
         self, payload, status: int = 200, headers: dict | None = None
@@ -150,6 +176,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
         self.end_headers()
@@ -167,13 +195,42 @@ class _Handler(BaseHTTPRequestHandler):
         except (TypeError, ValueError):
             raise _HTTPError(400, f"bad value for parameter {name!r}")
 
+    def _content_length(self) -> int:
+        """The request's ``Content-Length``, refusing a body it cannot frame.
+
+        A malformed or negative value is a 400, one above
+        :data:`MAX_BODY_BYTES` a 413, and a ``Transfer-Encoding`` body
+        (chunked; never read here) a 411.  Each time the body stays
+        unread, so the connection closes after the reply: where the next
+        request starts is unknown.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise _HTTPError(411, "send the body with a Content-Length")
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise _HTTPError(400, "Content-Length must be a non-negative integer")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _HTTPError(
+                413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+            )
+        return length
+
     def _body(self) -> dict:
         length = self._body_remaining
         if length <= 0:
             raise _HTTPError(400, "JSON body required")
         self._body_remaining = 0
         try:
-            payload = json.loads(self.rfile.read(length))
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise _HTTPError(408, "request body timed out")
+        try:
+            payload = json.loads(raw)
         except json.JSONDecodeError:
             raise _HTTPError(400, "invalid JSON body")
         if not isinstance(payload, dict):
@@ -184,9 +241,16 @@ class _Handler(BaseHTTPRequestHandler):
         server: "ServingHTTPServer" = self.server  # type: ignore[assignment]
         parsed = urllib.parse.urlsplit(self.path)
         query = urllib.parse.parse_qs(parsed.query)
-        self._body_remaining = int(self.headers.get("Content-Length") or 0)
+        self._body_remaining = 0
         self._last_status = 0
         route_key = (method, parsed.path)
+        route = parsed.path if route_key in server.routes else "other"
+        try:
+            self._body_remaining = self._content_length()
+        except _HTTPError as exc:
+            self._reply({"error": str(exc)}, status=exc.status)
+            server._count_request(method, route, self._last_status)
+            return
         # Admission control: shed excess load with 503 + Retry-After
         # instead of queueing unboundedly.  /health and /metrics bypass
         # the gate — liveness probes and metric scrapes must keep
@@ -199,7 +263,6 @@ class _Handler(BaseHTTPRequestHandler):
                 status=503,
                 headers={"Retry-After": server._retry_after_header()},
             )
-            route = parsed.path if route_key in server.routes else "other"
             server._count_request(method, route, self._last_status)
             return
         # Known routes get their own latency series; everything else is
@@ -236,7 +299,6 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             server._inflight.dec()
             hist.observe(time.perf_counter() - started)
-            route = parsed.path if route_key in server.routes else "other"
             server._count_request(method, route, self._last_status)
             if gated:
                 server._release()
@@ -378,11 +440,19 @@ def _route_above(server, query, handler) -> dict:
 
 
 def _as_index_array(raw, what: str) -> np.ndarray:
-    """Coerce a JSON field to an int64 array, as a *client* error on junk."""
+    """Coerce a JSON field to an int64 array, as a *client* error on junk.
+
+    Only integers pass: a float such as ``1.5`` would silently truncate,
+    and an integer past int64 would overflow, so a non-empty array whose
+    inferred dtype is not a signed integer is refused.
+    """
     try:
-        return np.asarray(raw, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise _HTTPError(400, f"{what} must be a flat list of integers")
+        array = np.asarray(raw)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or (array.size and array.dtype.kind != "i"):
+        raise _HTTPError(400, f"{what} must be a flat list of int64 integers")
+    return array.astype(np.int64, copy=False)
 
 
 def _route_query(server, query, handler) -> dict:
@@ -411,10 +481,10 @@ def _route_ingest(server, query, handler) -> dict:
         raise _HTTPError(400, "body must contain 'samples': [[indices, values], ...]")
     try:
         samples = [
-            (np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
+            (_as_index_array(idx, "indices"), np.asarray(val, dtype=np.float64))
             for idx, val in raw
         ]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _HTTPError(
             400, "each sample must be an [indices, values] pair of flat lists"
         )

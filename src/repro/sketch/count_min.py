@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.families import MultiTableHasher, _keys_as_u64
+from repro.hashing.families import MultiTableHasher
 from repro.sketch.base import (
     ValueSketch,
     ensure_mergeable,
     reject_readonly_counters,
     validate_batch,
 )
-from repro.sketch.kernels import jit_target, numba_available
 from repro.sketch.storage import CounterStore
 
 __all__ = ["CountMinSketch"]
@@ -88,37 +87,6 @@ class CountMinSketch(ValueSketch):
             [int(children[e].generate_state(1)[0]) for e in range(self.num_tables)],
         )
 
-        # Compiled-kernel plumbing (see CountSketch): the compiled path
-        # covers the linear insert and the min-of-tables query of the
-        # fused multiply-shift family on float storage; conservative
-        # update always stays on the numpy path.
-        self._jit_args = None
-        bucket = getattr(self._hasher, "_bucket", None)
-        if (
-            numba_available()
-            and not self.conservative
-            and self._store.quantum is None
-            and hasattr(bucket, "_a")
-        ):
-            mask = self._hasher._bucket_mask
-            self._jit_args = (
-                bucket._a.ravel(),
-                bucket._b.ravel(),
-                self._offsets_u64.ravel(),
-                np.uint64(self.num_buckets),
-                np.uint64(0) if mask is None else mask,
-                mask is not None,
-            )
-
-    def _jit_kernels(self, flat_needed_writable: bool):
-        """``(module, flat)`` for the compiled path, or ``None``."""
-        if self._jit_args is None:
-            return None
-        jit = jit_target(self._store)
-        if jit is not None and flat_needed_writable:
-            reject_readonly_counters(jit[1])
-        return jit
-
     @property
     def table(self) -> np.ndarray:
         """The ``(K, R)`` counter table (raw storage units)."""
@@ -168,29 +136,13 @@ class CountMinSketch(ValueSketch):
                 np.broadcast_to(target, fi.shape).ravel(),
             )
         else:
-            jit = self._jit_kernels(flat_needed_writable=True)
-            if jit is not None:
-                module, flat = jit
-                a, b, offsets, r_u64, mask, use_mask = self._jit_args
-                module.cm_insert(
-                    flat,
-                    _keys_as_u64(keys),
-                    np.ascontiguousarray(values),
-                    a,
-                    b,
-                    offsets,
-                    r_u64,
-                    mask,
-                    use_mask,
-                )
-            else:
-                fi = self._flat_indices(keys)
-                # Always bincount, matching the legacy per-table path exactly.
-                self._store.scatter_add(
-                    fi.ravel(),
-                    np.broadcast_to(values, fi.shape).ravel(),
-                    use_bincount=True,
-                )
+            fi = self._flat_indices(keys)
+            # Always bincount, matching the legacy per-table path exactly.
+            self._store.scatter_add(
+                fi.ravel(),
+                np.broadcast_to(values, fi.shape).ravel(),
+                use_bincount=True,
+            )
         if self.cap is not None:
             np.minimum(self.table, self.cap, out=self.table)
 
@@ -198,15 +150,6 @@ class CountMinSketch(ValueSketch):
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return np.empty(0, dtype=np.float64)
-        jit = self._jit_kernels(flat_needed_writable=False)
-        if jit is not None:
-            module, flat = jit
-            a, b, offsets, r_u64, mask, use_mask = self._jit_args
-            out = np.empty(keys.size, dtype=np.float64)
-            module.cm_query(
-                flat, _keys_as_u64(keys), a, b, offsets, r_u64, mask, use_mask, out
-            )
-            return out
         gathered = self._store.gather(self._flat_indices(keys))
         return np.min(gathered, axis=0)
 

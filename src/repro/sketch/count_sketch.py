@@ -33,54 +33,10 @@ from repro.sketch.base import (
     validate_batch,
 )
 from repro.sketch.kernels import jit_target, numba_available
+from repro.sketch.kernels.numpy_ref import apply_sign, median
 from repro.sketch.storage import CounterStore
 
 __all__ = ["CountSketch"]
-
-#: Crossover (elements per table) between `np.where`-based sign application
-#: (fewer kernel launches — wins on small batches) and the float-conversion
-#: chain (fewer memory passes — wins on large ones).  Both are exact:
-#: multiplying by ±1.0 and selecting a negation produce identical floats.
-_WHERE_SIGN_MAX = 8192
-
-
-def _apply_sign(bits: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(K, n)`` float64 of ``x`` with signs applied from raw sign bits.
-
-    ``x`` is either the value row ``(n,)`` (insert) or the gathered
-    estimate matrix ``(K, n)`` (query); ``bits`` is the uint64 bit matrix
-    from :meth:`repro.hashing.MultiTableHasher.sign_bits_u64`.
-    """
-    if bits.shape[-1] <= _WHERE_SIGN_MAX:
-        return np.where(bits, -x, x)
-    return _sign_bits_to_float(bits) * x
-
-
-def _median_axis0(est: np.ndarray) -> np.ndarray:
-    """Median along axis 0, specialised for the tiny odd ``K`` sketches use.
-
-    For ``K`` in {1, 3, 5} the median of each column is selected with a
-    min/max network — a handful of full-width vector ops instead of the
-    per-column partition ``np.median`` runs.  Selection returns exactly the
-    middle element, so the result is bit-identical to ``np.median`` (which
-    for odd ``K`` also returns an element, not an average).  Even ``K``
-    (mean of two middle elements) falls back to ``np.median``.
-    """
-    k = est.shape[0]
-    if k == 1:
-        return est[0]
-    if k == 3:
-        e0, e1, e2 = est
-        return np.maximum(np.minimum(e0, e1), np.minimum(np.maximum(e0, e1), e2))
-    if k == 5:
-        e0, e1, e2, e3, e4 = est
-        lo01, hi01 = np.minimum(e0, e1), np.maximum(e0, e1)
-        lo23, hi23 = np.minimum(e2, e3), np.maximum(e2, e3)
-        lo = np.maximum(lo01, lo23)  # 3rd-smallest candidate from below
-        hi = np.minimum(hi01, hi23)  # 3rd-smallest candidate from above
-        m1, m2 = np.minimum(lo, hi), np.maximum(lo, hi)
-        return np.minimum(np.maximum(e4, m1), m2)
-    return np.median(est, axis=0)
 
 
 class CountSketch(ValueSketch):
@@ -215,7 +171,8 @@ class CountSketch(ValueSketch):
         ``flat_indices`` is the ``(K, n)`` int64 matrix ``e*R + h_e(key)``
         addressing :attr:`_flat`; ``sign_bits`` is the raw ``(K, n)`` uint64
         bit matrix (0 => +1, 1 => -1), converted to floats only where a
-        caller actually needs them (see :func:`_apply_sign`).
+        caller actually needs them (see
+        :func:`repro.sketch.kernels.numpy_ref.apply_sign`).
         """
         w, bits = self._hasher.bucket_sign_u64(keys)
         np.add(w, self._offsets_u64, out=w)
@@ -276,21 +233,7 @@ class CountSketch(ValueSketch):
             return
         jit = self._jit_kernels(keys)
         if jit is not None:
-            module, flat = jit
-            reject_readonly_counters(flat)
-            a, b, offsets, r_u64, mask, use_mask = self._jit_args
-            module.cs_insert(
-                flat,
-                _keys_as_u64(keys),
-                np.ascontiguousarray(values),
-                a,
-                b,
-                offsets,
-                r_u64,
-                mask,
-                use_mask,
-                keys.size * 16 >= self.num_buckets,
-            )
+            self._jit_insert(*jit, keys, values)
             return
         self._scatter(self._lookup(keys), values)
 
@@ -298,36 +241,21 @@ class CountSketch(ValueSketch):
         """Insert a batch and return its post-insert estimates in one pass.
 
         Bit-identical to ``insert(keys, values)`` followed by
-        ``query(keys)``, but the buckets and signs are hashed once instead
-        of twice — the streaming estimators use this for their candidate
-        tracker refresh.
+        ``query(keys)``, but the numpy path hashes the buckets and signs
+        once instead of twice — the streaming estimators use this for
+        their candidate tracker refresh.  The compiled kernels hash inline,
+        so there it is exactly those two kernel calls.
         """
         keys, values = validate_batch(keys, values)
         if keys.size == 0:
             return np.empty(0, dtype=np.float64)
         jit = self._jit_kernels(keys)
         if jit is not None and self.num_tables in (1, 3, 5):
-            module, flat = jit
-            reject_readonly_counters(flat)
-            a, b, offsets, r_u64, mask, use_mask = self._jit_args
-            out = np.empty(keys.size, dtype=np.float64)
-            module.cs_insert_and_query(
-                flat,
-                _keys_as_u64(keys),
-                np.ascontiguousarray(values),
-                a,
-                b,
-                offsets,
-                r_u64,
-                mask,
-                use_mask,
-                keys.size * 16 >= self.num_buckets,
-                out,
-            )
-            return out
+            self._jit_insert(*jit, keys, values)
+            return self._jit_query(*jit, keys)
         hashed = self._lookup(keys)
         self._scatter(hashed, values)
-        return _median_axis0(self._estimates(hashed))
+        return median(self._estimates(hashed))
 
     def query(self, keys) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
@@ -337,14 +265,34 @@ class CountSketch(ValueSketch):
             return np.empty(0, dtype=np.float64)
         jit = self._jit_kernels(keys)
         if jit is not None and self.num_tables in (1, 3, 5):
-            module, flat = jit
-            a, b, offsets, r_u64, mask, use_mask = self._jit_args
-            out = np.empty(keys.size, dtype=np.float64)
-            module.cs_query(
-                flat, _keys_as_u64(keys), a, b, offsets, r_u64, mask, use_mask, out
-            )
-            return out
-        return _median_axis0(self._estimates(self._lookup(keys)))
+            return self._jit_query(*jit, keys)
+        return median(self._estimates(self._lookup(keys)))
+
+    def _jit_insert(self, module, flat, keys, values) -> None:
+        """``module.cs_insert`` with this sketch's hashes and strategy rule."""
+        reject_readonly_counters(flat)
+        a, b, offsets, r_u64, mask, use_mask = self._jit_args
+        module.cs_insert(
+            flat,
+            _keys_as_u64(keys),
+            np.ascontiguousarray(values),
+            a,
+            b,
+            offsets,
+            r_u64,
+            mask,
+            use_mask,
+            keys.size * 16 >= self.num_buckets,
+        )
+
+    def _jit_query(self, module, flat, keys) -> np.ndarray:
+        """``module.cs_query`` into a fresh float64 estimate row."""
+        a, b, offsets, r_u64, mask, use_mask = self._jit_args
+        out = np.empty(keys.size, dtype=np.float64)
+        module.cs_query(
+            flat, _keys_as_u64(keys), a, b, offsets, r_u64, mask, use_mask, out
+        )
+        return out
 
     def query_per_table(self, keys) -> np.ndarray:
         """All ``K`` per-table estimates (rows) for diagnostic use."""
@@ -356,7 +304,7 @@ class CountSketch(ValueSketch):
     def _scatter(self, hashed, values: np.ndarray) -> None:
         """Accumulate signed ``values`` through precomputed hashes."""
         flat_indices, bits, signs = hashed
-        signed = signs * values if signs is not None else _apply_sign(bits, values)
+        signed = signs * values if signs is not None else apply_sign(bits, values)
         # bincount beats add.at once the batch is a reasonable fraction of R;
         # for tiny batches the dense bincount allocation dominates.  The
         # threshold matches the pre-fusion per-table rule so the float
@@ -376,7 +324,7 @@ class CountSketch(ValueSketch):
         gathered = self._store.gather(flat_indices)
         if signs is not None:
             return gathered * signs
-        return _apply_sign(bits, gathered)
+        return apply_sign(bits, gathered)
 
     def reset(self) -> None:
         self._store.zero()

@@ -1,20 +1,25 @@
-"""The fused sketch hot paths, and which implementation runs them.
+"""The sketch hot paths, and which implementation runs them.
 
 The scatter/gather/median loop is the entire ingest and query cost of the
 system, so it is worth compiling.  This package holds the two
-implementations of the hot primitives and is the only module that knows
-which one runs:
+implementations of the count-sketch primitives and is the only module
+that knows which one runs:
 
-* :mod:`repro.sketch.kernels.numpy_ref` — the executable specification.
-  Standalone numpy implementations of the fused primitives (combined
-  multiply-shift bucket+sign hashing, flat-table scatter-insert,
-  single-gather + min/max-network median query, combined
-  ``insert_and_query``) with exactly the layout and summation order the
-  sketches use inline.  Tests pin the inline paths against this module.
-* :mod:`repro.sketch.kernels.numba_jit` — the same primitives compiled
-  with numba.  Identical ``(K*R,)`` flat layout, identical uint64 hash
-  arithmetic, identical accumulation order, so results are bit-identical
-  to the numpy path (the conformance suite enforces this per backend).
+* :mod:`repro.sketch.kernels.numpy_ref` — the numpy kernels
+  :class:`repro.sketch.CountSketch` calls (sign application and the
+  median of tables; hashing, scatter and gather stay inline on the
+  sketch and its storage), plus the contract every implementation
+  keeps: layout, hash arithmetic and summation order.  The numpy path
+  ``CountSketch`` runs is the executable specification.
+* :mod:`repro.sketch.kernels.numba_jit` — the count-sketch insert and
+  query compiled with numba.  Identical ``(K*R,)`` flat layout,
+  identical uint64 hash arithmetic, identical accumulation order, so
+  results are bit-identical to the numpy path (the equivalence tests pin
+  them against a ``CountSketch`` pinned to numpy, and the conformance
+  suite re-runs every sketch kind per backend).  ``insert_and_query`` is
+  those two kernel calls.  Count-min runs on numpy everywhere: the only
+  count-min the system builds on its own is Cold Filter's conservative
+  gate, which is a numpy pass by nature.
 
 Which kernels run
 -----------------
@@ -110,7 +115,7 @@ def resolve_backend(_requested: str = "auto") -> str:
 def jit_target(store):
     """``(module, flat)`` when the compiled kernels can run on ``store``.
 
-    The one eligibility test every sketch shares: numba importable and
+    The storage half of the eligibility test: numba importable and
     plain float64 counters — not quantized, not widened, not mmap-backed
     (serving snapshots).  Returns ``None`` otherwise, and the caller takes
     its bit-identical numpy path.

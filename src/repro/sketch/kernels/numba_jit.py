@@ -1,11 +1,12 @@
-"""Numba-compiled fused sketch kernels.
+"""Numba-compiled count-sketch kernels: ``cs_insert`` and ``cs_query``.
 
 Importing this module requires numba; import it through
 :func:`repro.sketch.kernels.numba_kernels`, which leaves the numpy path
 in charge when the import fails.
 
-Every kernel implements the contract documented in
-:mod:`repro.sketch.kernels.numpy_ref` with **bit-identical** results:
+Both kernels implement the contract documented in
+:mod:`repro.sketch.kernels.numpy_ref` with **bit-identical** results to
+the numpy path :class:`repro.sketch.CountSketch` runs:
 
 * the same flat ``(K*R,)`` float64 layout (``flat[e*R + b]``);
 * the same uint64 multiply-shift arithmetic (wrap-around multiply,
@@ -18,6 +19,11 @@ Every kernel implements the contract documented in
 * the same min/max median network, with scalar ``fmin``/``fmax``
   helpers that replicate ``np.minimum``/``np.maximum`` (NaN propagates,
   ties keep the first operand).
+
+``CountSketch.insert_and_query`` is ``cs_insert`` then ``cs_query``.
+Count-min compiles nothing: the only count-min the system builds on its
+own is Cold Filter's conservative gate, whose clamp is a numpy pass, so
+no workload would run a compiled count-min leg.
 
 No ``fastmath`` (it would license reassociation and break bit-identity)
 and no ``parallel`` (ordered accumulation is part of the contract);
@@ -151,56 +157,3 @@ def cs_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out):
             m1 = _fmin(lo, hi)
             m2 = _fmax(lo, hi)
             out[i] = _fmin(_fmax(e4, m1), m2)
-
-
-@njit(cache=True)
-def cs_insert_and_query(
-    flat,
-    keys,
-    values,
-    a,
-    b,
-    offsets,
-    num_buckets,
-    mask,
-    use_mask,
-    use_bincount,
-    out,
-):
-    cs_insert(
-        flat, keys, values, a, b, offsets, num_buckets, mask, use_mask, use_bincount
-    )
-    cs_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out)
-
-
-@njit(cache=True)
-def cm_insert(flat, keys, values, a, b, offsets, num_buckets, mask, use_mask):
-    num_tables = offsets.shape[0]
-    n = keys.shape[0]
-    acc = np.zeros(flat.shape[0], dtype=np.float64)
-    for e in range(num_tables):
-        a_bucket = a[e]
-        b_bucket = b[e]
-        offset = offsets[e]
-        for i in range(n):
-            w = (keys[i] * a_bucket + b_bucket) >> _U32
-            bucket = _bucket_of(w, num_buckets, mask, use_mask)
-            acc[offset + bucket] += values[i]
-    for j in range(flat.shape[0]):
-        flat[j] += acc[j]
-
-
-@njit(cache=True)
-def cm_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out):
-    num_tables = offsets.shape[0]
-    n = keys.shape[0]
-    for i in range(n):
-        key = keys[i]
-        w = (key * a[0] + b[0]) >> _U32
-        best = flat[offsets[0] + _bucket_of(w, num_buckets, mask, use_mask)]
-        for e in range(1, num_tables):
-            w = (key * a[e] + b[e]) >> _U32
-            best = _fmin(
-                best, flat[offsets[e] + _bucket_of(w, num_buckets, mask, use_mask)]
-            )
-        out[i] = best

@@ -1,13 +1,12 @@
-"""Numpy reference implementations of the fused sketch kernels.
+"""Numpy sketch kernels, and the contract every kernel implementation keeps.
 
-This module is the **executable specification** shared by the inline
-sketch hot paths and the compiled backend
-(:mod:`repro.sketch.kernels.numba_jit`): every function here states, in
-plain vectorised numpy, exactly what a kernel must compute — the layout,
-the hash arithmetic and the floating-point accumulation order.  The
-equivalence tests pin both the inline paths and the compiled kernels
-against these functions, so "bit-identical across backends" is enforced
-rather than hoped for.
+This module holds the numpy primitives :class:`repro.sketch.CountSketch`
+runs — sign application and the median of tables — and states the
+contract the compiled backend (:mod:`repro.sketch.kernels.numba_jit`)
+reproduces.  The numpy path ``CountSketch`` runs is the **executable
+specification**: the equivalence tests pin the compiled kernels against a
+``CountSketch`` pinned to numpy, so "bit-identical across backends" is
+enforced rather than hoped for.
 
 The contract
 ------------
@@ -28,140 +27,46 @@ The contract
   ``(K, n)`` index matrix, so either backend reproduces the other's
   floats bit-for-bit.
 * **Median.** ``K in {1, 3, 5}`` uses the min/max selection network of
-  :func:`repro.sketch.count_sketch._median_axis0`; ``np.minimum`` /
-  ``np.maximum`` semantics (NaN propagates, ties keep the first operand)
-  are part of the contract.
+  :func:`median`; ``np.minimum`` / ``np.maximum`` semantics (NaN
+  propagates, ties keep the first operand) are part of the contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "bucket_sign",
-    "cs_insert",
-    "cs_query",
-    "cs_insert_and_query",
-    "cm_insert",
-    "cm_query",
-    "median_network",
-]
+from repro.hashing.families import _sign_bits_to_float
 
-_U1 = np.uint64(1)
-_U32 = np.uint64(32)
+__all__ = ["apply_sign", "median"]
+
+#: Crossover (elements per table) between `np.where`-based sign application
+#: (fewer kernel launches — wins on small batches) and the float-conversion
+#: chain (fewer memory passes — wins on large ones).  Both are exact:
+#: multiplying by ±1.0 and selecting a negation produce identical floats.
+_WHERE_SIGN_MAX = 8192
 
 
-def bucket_sign(keys, a, b, num_buckets, mask, use_mask):
-    """``(buckets, sign_bits)`` for all tables, each ``(K, n)`` uint64.
+def apply_sign(bits: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(K, n)`` float64 of ``x`` with signs applied from raw sign bits.
 
-    ``a`` and ``b`` are the flattened ``(2K,)`` combined multiply-shift
-    parameters (bucket rows first, sign rows after); ``keys`` is the
-    uint64 view of the validated int64 key batch.
+    ``x`` is either the value row ``(n,)`` (insert) or the gathered
+    estimate matrix ``(K, n)`` (query); ``bits`` is the uint64 bit matrix
+    from :meth:`repro.hashing.MultiTableHasher.sign_bits_u64`.
     """
-    w = keys[None, :] * a[:, None]
-    w += b[:, None]
-    w >>= _U32
-    num_tables = a.shape[0] // 2
-    buckets, bits = w[:num_tables], w[num_tables:]
-    if use_mask:
-        buckets &= np.uint64(mask)
-    else:
-        buckets %= np.uint64(num_buckets)
-    bits &= _U1
-    return buckets, bits
+    if bits.shape[-1] <= _WHERE_SIGN_MAX:
+        return np.where(bits, -x, x)
+    return _sign_bits_to_float(bits) * x
 
 
-def _flat_indices(buckets, offsets):
-    return (buckets + offsets[:, None]).view(np.int64)
+def median(est: np.ndarray) -> np.ndarray:
+    """Median along axis 0, specialised for the tiny odd ``K`` sketches use.
 
-
-def _signed(bits, values):
-    return np.where(bits != 0, -values, values)
-
-
-def cs_insert(
-    flat, keys, values, a, b, offsets, num_buckets, mask, use_mask, use_bincount
-):
-    """Scatter one signed batch into the flat count-sketch table."""
-    buckets, bits = bucket_sign(keys, a, b, num_buckets, mask, use_mask)
-    indices = _flat_indices(buckets, offsets)
-    signed = _signed(bits, values)
-    if use_bincount:
-        acc = np.bincount(
-            indices.ravel(), weights=signed.ravel(), minlength=flat.size
-        )
-        flat += acc.astype(flat.dtype, copy=False)
-    else:
-        np.add.at(flat, indices.ravel(), signed.ravel())
-
-
-def cs_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out):
-    """Median-of-tables estimates for a key batch (``K in {1, 3, 5}``)."""
-    buckets, bits = bucket_sign(keys, a, b, num_buckets, mask, use_mask)
-    gathered = flat[_flat_indices(buckets, offsets)]
-    out[:] = median_network(_signed(bits, gathered))
-
-
-def cs_insert_and_query(
-    flat,
-    keys,
-    values,
-    a,
-    b,
-    offsets,
-    num_buckets,
-    mask,
-    use_mask,
-    use_bincount,
-    out,
-):
-    """Insert a batch, then estimate the same keys post-insert."""
-    cs_insert(
-        flat, keys, values, a, b, offsets, num_buckets, mask, use_mask, use_bincount
-    )
-    cs_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out)
-
-
-def _cm_buckets(keys, a, b, num_buckets, mask, use_mask):
-    w = keys[None, :] * a[:, None]
-    w += b[:, None]
-    w >>= _U32
-    if use_mask:
-        w &= np.uint64(mask)
-    else:
-        w %= np.uint64(num_buckets)
-    return w
-
-
-def cm_insert(flat, keys, values, a, b, offsets, num_buckets, mask, use_mask):
-    """Unsigned scatter into the flat count-min table (bincount order).
-
-    Count-min's non-conservative insert always takes the bincount
-    strategy (its batches broadcast one value row across ``K`` tables);
-    ``a``/``b`` carry only the ``(K,)`` bucket-hash rows — no signs.
-    """
-    buckets = _cm_buckets(keys, a, b, num_buckets, mask, use_mask)
-    indices = _flat_indices(buckets, offsets)
-    weights = np.broadcast_to(values, indices.shape)
-    acc = np.bincount(
-        indices.ravel(), weights=weights.ravel(), minlength=flat.size
-    )
-    flat += acc.astype(flat.dtype, copy=False)
-
-
-def cm_query(flat, keys, a, b, offsets, num_buckets, mask, use_mask, out):
-    """Min-of-tables estimates (reduction in ascending table order)."""
-    buckets = _cm_buckets(keys, a, b, num_buckets, mask, use_mask)
-    gathered = flat[_flat_indices(buckets, offsets)]
-    out[:] = np.min(gathered, axis=0)
-
-
-def median_network(est: np.ndarray) -> np.ndarray:
-    """Column medians of ``(K, n)`` for ``K in {1, 3, 5}`` via min/max nets.
-
-    Mirrors :func:`repro.sketch.count_sketch._median_axis0` exactly
-    (selection, not averaging — bit-identical to ``np.median`` for odd
-    ``K``); the kernel backends only claim eligibility for these widths.
+    For ``K`` in {1, 3, 5} the median of each column is selected with a
+    min/max network — a handful of full-width vector ops instead of the
+    per-column partition ``np.median`` runs.  Selection returns exactly the
+    middle element, so the result is bit-identical to ``np.median`` (which
+    for odd ``K`` also returns an element, not an average).  Even ``K``
+    (mean of two middle elements) falls back to ``np.median``.
     """
     k = est.shape[0]
     if k == 1:
@@ -173,8 +78,8 @@ def median_network(est: np.ndarray) -> np.ndarray:
         e0, e1, e2, e3, e4 = est
         lo01, hi01 = np.minimum(e0, e1), np.maximum(e0, e1)
         lo23, hi23 = np.minimum(e2, e3), np.maximum(e2, e3)
-        lo = np.maximum(lo01, lo23)
-        hi = np.minimum(hi01, hi23)
+        lo = np.maximum(lo01, lo23)  # 3rd-smallest candidate from below
+        hi = np.minimum(hi01, hi23)  # 3rd-smallest candidate from above
         m1, m2 = np.minimum(lo, hi), np.maximum(lo, hi)
         return np.minimum(np.maximum(e4, m1), m2)
-    raise ValueError(f"median network supports K in (1, 3, 5), got {k}")
+    return np.median(est, axis=0)

@@ -20,8 +20,10 @@ from repro.reference import (
     legacy_sparse_batch_pairs,
 )
 from repro.sketch.count_min import CountMinSketch
-from repro.sketch.count_sketch import CountSketch, _median_axis0
-from repro.sketch.kernels import available_backends, numba_available, numpy_ref
+from repro.sketch.base import scatter_add_flat
+from repro.sketch.count_sketch import CountSketch
+from repro.sketch.kernels import available_backends, numba_available
+from repro.sketch.kernels.numpy_ref import apply_sign, median
 from repro.sketch.topk import TopKTracker
 
 FAMILIES = ["multiply-shift", "polynomial", "tabulation"]
@@ -206,195 +208,85 @@ def _cs_hash_args(sk):
     )
 
 
-def _cm_hash_args(cm):
-    mask = cm._hasher._bucket_mask
-    return (
-        cm._hasher._bucket._a.ravel(),
-        cm._hasher._bucket._b.ravel(),
-        cm._offsets_u64.ravel(),
-        np.uint64(cm.num_buckets),
-        np.uint64(0) if mask is None else mask,
-        mask is not None,
-    )
-
-
-class TestKernelModuleParity:
-    """``numpy_ref`` is the executable spec of the kernel contract: it must
-    replicate the inline sketch paths bit-for-bit, so the compiled module
-    only ever needs comparing against it."""
-
-    @pytest.mark.parametrize("num_buckets", [1024, 1000])  # pow2 and not
-    @pytest.mark.parametrize("num_tables", [1, 3, 5])
-    def test_numpy_ref_matches_inline_count_sketch(
-        self, num_tables, num_buckets, rng, pin_kernels
-    ):
-        pin_kernels("numpy")
-        sk = CountSketch(num_tables, num_buckets, seed=17)
-        a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
-        flat = np.zeros(num_tables * num_buckets)
-        for keys, values in _key_batches(rng):
-            sk.insert(keys, values)
-            numpy_ref.cs_insert(
-                flat,
-                keys.view(np.uint64),
-                values,
-                a,
-                b,
-                off,
-                r_u64,
-                mask,
-                use_mask,
-                keys.size * 16 >= num_buckets,
-            )
-        np.testing.assert_array_equal(flat, sk._flat)
-        probe = rng.integers(0, 10**12, size=513)
-        out = np.empty(probe.size)
-        numpy_ref.cs_query(
-            flat, probe.view(np.uint64), a, b, off, r_u64, mask, use_mask, out
-        )
-        np.testing.assert_array_equal(out, sk.query(probe))
-        live_keys = rng.integers(0, 10**12, size=300)
-        live_values = rng.standard_normal(300)
-        est = sk.insert_and_query(live_keys, live_values)
-        out_live = np.empty(live_keys.size)
-        numpy_ref.cs_insert_and_query(
-            flat,
-            live_keys.view(np.uint64),
-            live_values,
-            a,
-            b,
-            off,
-            r_u64,
-            mask,
-            use_mask,
-            live_keys.size * 16 >= num_buckets,
-            out_live,
-        )
-        np.testing.assert_array_equal(flat, sk._flat)
-        np.testing.assert_array_equal(out_live, est)
-
-    @pytest.mark.parametrize("num_buckets", [512, 500])
-    def test_numpy_ref_matches_inline_count_min(self, num_buckets, rng, pin_kernels):
-        pin_kernels("numpy")
-        cm = CountMinSketch(3, num_buckets, seed=19)
-        a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
-        flat = np.zeros(3 * num_buckets)
-        for keys, values in _key_batches(rng):
-            cm.insert(keys, np.abs(values))
-            numpy_ref.cm_insert(
-                flat,
-                keys.view(np.uint64),
-                np.abs(values),
-                a,
-                b,
-                off,
-                r_u64,
-                mask,
-                use_mask,
-            )
-        np.testing.assert_array_equal(flat, cm._flat)
-        probe = rng.integers(0, 10**12, size=333)
-        out = np.empty(probe.size)
-        numpy_ref.cm_query(
-            flat, probe.view(np.uint64), a, b, off, r_u64, mask, use_mask, out
-        )
-        np.testing.assert_array_equal(out, cm.query(probe))
-
-
 @needs_numba
 class TestNumbaModuleParity:
-    """The compiled module must replicate ``numpy_ref`` bit-for-bit: both
-    accumulation strategies, both bucket-range reductions, every median
-    network, and the min-reduce — same flat layout, same summation order."""
+    """The compiled kernels must replicate the numpy path ``CountSketch``
+    runs, bit for bit: both accumulation strategies, both bucket-range
+    reductions, every median network — same flat layout, same summation
+    order.  The numpy side is a ``CountSketch`` pinned to numpy."""
 
     @pytest.mark.parametrize("num_buckets", [512, 500])
     @pytest.mark.parametrize("num_tables", [1, 3, 5])
-    def test_cs_kernels_bit_identical(self, num_tables, num_buckets, rng):
+    def test_cs_kernels_bit_identical(self, num_tables, num_buckets, rng, pin_kernels):
         from repro.sketch.kernels import numba_jit
 
+        pin_kernels("numpy")
         sk = CountSketch(num_tables, num_buckets, seed=23)
         a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
-        flat_np = np.zeros(num_tables * num_buckets)
         flat_nb = np.zeros(num_tables * num_buckets)
         for keys, values in _key_batches(rng):
+            flat_indices, bits = sk._hash_batch(keys)
+            signed = apply_sign(bits, values).ravel()
+            args = (keys.view(np.uint64), values, a, b, off, r_u64, mask)
             # Force both strategies regardless of batch size: strategy
             # choice is the caller's, the kernels must agree under either.
             for use_bincount in (False, True):
-                args = (keys.view(np.uint64), values, a, b, off, r_u64, mask)
-                numpy_ref.cs_insert(flat_np, *args, use_mask, use_bincount)
+                scatter_add_flat(
+                    sk._flat, flat_indices.ravel(), signed, use_bincount=use_bincount
+                )
                 numba_jit.cs_insert(flat_nb, *args, use_mask, use_bincount)
-                np.testing.assert_array_equal(flat_nb, flat_np)
+                np.testing.assert_array_equal(flat_nb, sk._flat)
         probe = rng.integers(0, 10**12, size=777)
-        out_np = np.empty(probe.size)
         out_nb = np.empty(probe.size)
         query_args = (probe.view(np.uint64), a, b, off, r_u64, mask, use_mask)
-        numpy_ref.cs_query(flat_np, *query_args, out_np)
         numba_jit.cs_query(flat_nb, *query_args, out_nb)
-        np.testing.assert_array_equal(out_nb, out_np)
+        np.testing.assert_array_equal(out_nb, sk.query(probe))
+        # insert_and_query on the compiled path is these two kernel calls.
         live_keys = rng.integers(0, 10**12, size=300)
         live_values = rng.standard_normal(300)
-        live_np = np.empty(live_keys.size)
+        live_u64 = live_keys.view(np.uint64)
         live_nb = np.empty(live_keys.size)
-        live_args = (live_keys.view(np.uint64), live_values, a, b, off, r_u64, mask)
-        numpy_ref.cs_insert_and_query(flat_np, *live_args, use_mask, True, live_np)
-        numba_jit.cs_insert_and_query(flat_nb, *live_args, use_mask, True, live_nb)
-        np.testing.assert_array_equal(flat_nb, flat_np)
+        numba_jit.cs_insert(
+            flat_nb, live_u64, live_values, a, b, off, r_u64, mask, use_mask, True
+        )
+        numba_jit.cs_query(flat_nb, live_u64, a, b, off, r_u64, mask, use_mask, live_nb)
+        live_np = sk.insert_and_query(live_keys, live_values)
+        np.testing.assert_array_equal(flat_nb, sk._flat)
         np.testing.assert_array_equal(live_nb, live_np)
 
-    @pytest.mark.parametrize("num_buckets", [512, 500])
-    def test_cm_kernels_bit_identical(self, num_buckets, rng):
-        from repro.sketch.kernels import numba_jit
-
-        cm = CountMinSketch(3, num_buckets, seed=29)
-        a, b, off, r_u64, mask, use_mask = _cm_hash_args(cm)
-        flat_np = np.zeros(3 * num_buckets)
-        flat_nb = np.zeros(3 * num_buckets)
-        for keys, values in _key_batches(rng):
-            args = (keys.view(np.uint64), np.abs(values), a, b, off, r_u64, mask)
-            numpy_ref.cm_insert(flat_np, *args, use_mask)
-            numba_jit.cm_insert(flat_nb, *args, use_mask)
-            np.testing.assert_array_equal(flat_nb, flat_np)
-        probe = rng.integers(0, 10**12, size=333)
-        out_np = np.empty(probe.size)
-        out_nb = np.empty(probe.size)
-        query_args = (probe.view(np.uint64), a, b, off, r_u64, mask, use_mask)
-        numpy_ref.cm_query(flat_np, *query_args, out_np)
-        numba_jit.cm_query(flat_nb, *query_args, out_nb)
-        np.testing.assert_array_equal(out_nb, out_np)
-
-    def test_median_networks_handle_ties_and_nans(self, rng):
+    def test_median_networks_handle_ties_and_nans(self, rng, pin_kernels):
         from repro.sketch.kernels import numba_jit
 
         # Tie-heavy and NaN-poisoned tables: the scalar min/max pairs in
         # the compiled networks must pick the same operand numpy does.
+        pin_kernels("numpy")
         for num_tables in (1, 3, 5):
             sk = CountSketch(num_tables, 64, seed=31)
             a, b, off, r_u64, mask, use_mask = _cs_hash_args(sk)
             flat = rng.integers(-2, 3, size=num_tables * 64).astype(np.float64)
             flat[rng.integers(0, flat.size, size=5)] = np.nan
+            sk.load_table(flat)
             probe = rng.integers(0, 10**12, size=200)
-            out_np = np.empty(probe.size)
             out_nb = np.empty(probe.size)
             query_args = (probe.view(np.uint64), a, b, off, r_u64, mask, use_mask)
-            numpy_ref.cs_query(flat, *query_args, out_np)
             numba_jit.cs_query(flat, *query_args, out_nb)
-            np.testing.assert_array_equal(out_nb, out_np)
+            np.testing.assert_array_equal(out_nb, sk.query(probe))
 
 
 class TestMedianKernel:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_matches_np_median_odd(self, k, rng):
         est = rng.standard_normal((k, 513))
-        np.testing.assert_array_equal(_median_axis0(est), np.median(est, axis=0))
+        np.testing.assert_array_equal(median(est), np.median(est, axis=0))
 
     def test_matches_np_median_with_ties(self, rng):
         est = rng.integers(-2, 3, size=(5, 400)).astype(np.float64)
-        np.testing.assert_array_equal(_median_axis0(est), np.median(est, axis=0))
+        np.testing.assert_array_equal(median(est), np.median(est, axis=0))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_even_k_falls_back_to_average(self, k, rng):
         est = rng.standard_normal((k, 100))
-        np.testing.assert_array_equal(_median_axis0(est), np.median(est, axis=0))
+        np.testing.assert_array_equal(median(est), np.median(est, axis=0))
 
 
 class TestCountMinEquivalence:

@@ -146,12 +146,10 @@ class TestSketchKnob:
     def test_numpy_backend_never_arms_jit(self, monkeypatch):
         _force_numba(monkeypatch, None)
         assert CountSketch(3, 64)._jit_args is None
-        assert CountMinSketch(3, 64)._jit_args is None
 
     def test_numba_backend_arms_jit_for_eligible_config(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
         assert CountSketch(3, 64)._jit_args is not None
-        assert CountMinSketch(3, 64)._jit_args is not None
 
     def test_ineligible_configs_stay_on_numpy_path(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
@@ -159,13 +157,10 @@ class TestSketchKnob:
         assert CountSketch(3, 64, family="polynomial")._jit_args is None
         # Quantized storage: compiled kernels require float64 counters.
         assert CountSketch(3, 64, dtype="int16")._jit_args is None
-        # Conservative count-min: the clamp is inherently a numpy pass.
-        assert CountMinSketch(3, 64, conservative=True)._jit_args is None
 
     def test_copy_preserves_backend(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
         assert CountSketch(3, 64).copy()._jit_args is not None
-        assert CountMinSketch(3, 64).copy()._jit_args is not None
 
     def test_jit_target_eligibility(self, monkeypatch, tmp_path):
         _force_numba(monkeypatch, _FAKE_JIT)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -19,6 +20,7 @@ from repro.serving import (
     ServingEstimator,
     serve_in_background,
 )
+from repro.serving import http as serving_http
 from repro.sketch.count_sketch import CountSketch
 
 DIM = 40
@@ -196,12 +198,16 @@ class TestErrorsAndReadOnlyTargets:
             server.shutdown()
             server.server_close()
 
-    @pytest.mark.parametrize("bad", ["nan-literal", "bad-last-row"])
+    @pytest.mark.parametrize(
+        "bad", ["nan-literal", "bad-last-row", "float-index", "index-past-int64"]
+    )
     def test_refused_ingest_changes_no_stats(self, bad, rng):
         """A refused ``/ingest`` is a 400 that applies nothing: a ``NaN``
-        literal (``json.loads`` accepts it), or a 40-row body whose last
+        literal (``json.loads`` accepts it), a 40-row body whose last
         row names an index past ``dim``, two batches of 32 after the
-        first would have applied."""
+        first would have applied, or an index that is not an int64 (a
+        float would truncate to a valid index, an int past int64 would
+        overflow)."""
         estimator = SketchEstimator(CountSketch(3, 512, seed=31), total_samples=1000)
         sketcher = CovarianceSketcher(DIM, estimator, batch_size=32)
         serving = ServingEstimator(sketcher, top_index=64)
@@ -210,8 +216,12 @@ class TestErrorsAndReadOnlyTargets:
         rows = [[idx.tolist(), val.tolist()] for idx, val in _make_samples(40, rng)]
         if bad == "nan-literal":
             rows[7][1][2] = float("nan")
-        else:
+        elif bad == "bad-last-row":
             rows[-1][0][-1] = DIM
+        elif bad == "float-index":
+            rows[7][0][-1] += 0.5
+        else:
+            rows[7][0][-1] = 2**70
         body = json.dumps({"samples": rows})
         assert ("NaN" in body) == (bad == "nan-literal")
 
@@ -255,6 +265,23 @@ class TestErrorsAndReadOnlyTargets:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("bad", [2**70, 1.5])
+    @pytest.mark.parametrize("field", ["keys", "i"])
+    def test_query_indices_must_be_int64(self, serving_server, field, bad):
+        # 1.5 used to truncate to 1 and answer; 2**70 overflowed into a 500.
+        _, server, _ = serving_server
+        body = {"keys": [0, bad]} if field == "keys" else {"i": [0, bad], "j": [3, 4]}
+        request = urllib.request.Request(
+            f"{server.url}/query",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "int64" in json.loads(excinfo.value.read())["error"]
+
     def test_bad_json_body_is_400(self, serving_server):
         _, server, _ = serving_server
         request = urllib.request.Request(
@@ -282,6 +309,120 @@ class TestErrorsAndReadOnlyTargets:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _connect(server):
+    """A raw keep-alive connection: ``(socket, buffered reader)``."""
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    return sock, sock.makefile("rb")
+
+
+def _read_reply(reader):
+    """``(status, headers, body)`` of the next response on a raw
+    connection, or ``None`` once the server has closed it."""
+    try:
+        status_line = reader.readline()
+    except ConnectionResetError:
+        return None
+    if not status_line:
+        return None
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+class TestRequestFraming:
+    """Raw-socket requests: a body the handler cannot frame is refused
+    and its connection closed; one it can frame keeps the connection."""
+
+    def _refused(self, server, request: bytes, status: int) -> None:
+        sock, reader = _connect(server)
+        with sock, reader:
+            sock.sendall(request)
+            reply = _read_reply(reader)
+            assert reply is not None, "no reply before the connection closed"
+            assert reply[0] == status
+            assert reply[1]["connection"] == "close"
+            assert "error" in json.loads(reply[2])
+            assert _read_reply(reader) is None
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "0x10"])
+    def test_malformed_content_length_is_400(self, serving_server, length):
+        _, server, client = serving_server
+        self._refused(
+            server,
+            b"POST /query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n",
+            400,
+        )
+        assert client.stats()["http"]["requests"]["POST /query"] == {"400": 1}
+
+    def test_oversized_body_is_413_unread(self, serving_server, monkeypatch):
+        # The body is never sent: a server that tried to read it would
+        # block past the client's timeout instead of answering.
+        monkeypatch.setattr(serving_http, "MAX_BODY_BYTES", 1024)
+        _, server, _ = serving_server
+        self._refused(
+            server,
+            b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 1025\r\n\r\n",
+            413,
+        )
+
+    def test_chunked_body_is_411(self, serving_server):
+        _, server, _ = serving_server
+        self._refused(
+            server,
+            b"POST /query HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n",
+            411,
+        )
+
+    @pytest.mark.parametrize("route, status", [("/query", 408), ("/nope", 404)])
+    def test_stalled_body_times_out(self, serving_server, monkeypatch, route, status):
+        # /query reads the body (408); /nope only drains it, answers its
+        # own error, and closes since the rest never came.
+        monkeypatch.setattr(serving_http._Handler, "timeout", 0.3)
+        _, server, _ = serving_server
+        self._refused(
+            server,
+            f"POST {route} HTTP/1.1\r\nHost: t\r\n".encode()
+            + b"Content-Length: 100\r\n\r\n"
+            + b'{"keys": [1',
+            status,
+        )
+
+    def test_pipelined_requests_are_all_answered(self, serving_server):
+        serving, server, _ = serving_server
+        sock, reader = _connect(server)
+        with sock, reader:
+            sock.sendall(
+                b"GET /pair?i=0&j=3 HTTP/1.1\r\nHost: t\r\n\r\n"
+                b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            first, second = _read_reply(reader), _read_reply(reader)
+        assert first[0] == second[0] == 200
+        assert json.loads(first[2])["estimate"] == serving.query_pair(0, 3)
+        assert json.loads(second[2])["status"] == "ok"
+
+    def test_connection_survives_errors_with_unread_bodies(self, serving_server):
+        _, server, _ = serving_server
+        sock, reader = _connect(server)
+        with sock, reader:
+            for request, status in (
+                (b"POST /nope", 404),
+                (b"GET /pair?i=5", 400),
+                (b"GET /health", 200),
+            ):
+                sock.sendall(
+                    request + b" HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: 5\r\n\r\nhello"
+                )
+                reply = _read_reply(reader)
+                assert reply is not None and reply[0] == status
+                assert "connection" not in reply[1]
 
 
 class TestObservabilityEndpoints:
