@@ -19,12 +19,22 @@ ingest/serve loop — a :class:`~repro.serving.ServingEstimator`:
 ``POST /refresh``         snapshot + atomic swap (serving only)
 ========================  ====================================================
 
-Requests run in per-connection threads and reads are **not** serialized:
-snapshot swaps are atomic reference rebinds, the engine's LRU cache is
-thread-safe, and write routes (``/ingest``, ``/refresh``) serialize on the
-serving estimator's own write lock — so a slow write never stalls reads.
-JSON floats round-trip exactly (``repr`` shortest-form), so HTTP answers
-are bit-identical to in-process queries.
+Requests run in per-connection threads and reads are **not** serialized
+with each other: snapshot swaps are atomic reference rebinds, the engine's
+LRU cache is thread-safe, and write routes (``/ingest``, ``/refresh``)
+serialize on the serving estimator's own write lock.  Writes have
+priority: while one runs (from after its body is parsed until the write
+side returns), a read route that starts waits for it, but never longer
+than :data:`READ_YIELD_SECONDS` — the two would otherwise split the
+interpreter lock and stretch the write.  A hung write therefore delays
+reads by that bound and no more; ``/health`` and ``/metrics`` never wait.
+The wait counts in the route's ``repro_http_request_seconds``.
+
+Each reply leaves in one socket write (headers and body together) with
+Nagle's algorithm off, so a keep-alive client never waits on its own
+delayed ACK before the tail of a reply arrives.  JSON floats round-trip
+exactly (``repr`` shortest-form), so HTTP answers are bit-identical to
+in-process queries.
 
 Ranked endpoints (``/top``, ``/neighbors``, ``/above``) order and
 threshold by **rank**: ``|estimate|`` on two-sided snapshots, the signed
@@ -71,6 +81,7 @@ apply a batch.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -91,6 +102,7 @@ from repro.serving.snapshot import SketchSnapshot
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "READ_YIELD_SECONDS",
     "ServingHTTPServer",
     "ServingClient",
     "serve_in_background",
@@ -99,6 +111,12 @@ __all__ = [
 #: Largest request body the server accepts.  A longer ``Content-Length``
 #: is refused with 413 and the connection closed with the body unread.
 MAX_BODY_BYTES = 64 << 20
+
+#: Longest a read route waits for in-flight writes before it runs anyway.
+#: Above the slowest write measured (an ``/ingest`` that also writes a
+#: checkpoint, ~190 ms), so a read normally waits a write out, while a hung
+#: write cannot stop reads (the last snapshot keeps serving).
+READ_YIELD_SECONDS = 0.25
 
 #: Content type of the ``/metrics`` body (Prometheus text format 0.0.4).
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -129,6 +147,10 @@ _REQUIRED = object()
 #: scrapes must answer while the server is saturated.
 _UNGATED_ROUTES = frozenset({("GET", "/health"), ("GET", "/metrics")})
 
+#: Routes that change the write side; every other admitted route is a read
+#: that yields to them (see ``ServingHTTPServer._yield_to_writes``).
+_WRITE_ROUTES = frozenset({("POST", "/ingest"), ("POST", "/refresh")})
+
 
 class _Handler(BaseHTTPRequestHandler):
     # The handler is stateless; everything lives on self.server.
@@ -137,6 +159,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: past it gets a 408 instead of pinning a handler thread, and an
     #: idle keep-alive connection is closed.
     timeout = 60.0
+    #: TCP_NODELAY: a reply's last partial segment goes out at once instead
+    #: of waiting for the client to ACK the one before it.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test/bench output clean
@@ -180,8 +205,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        # One write for the blank line and the body too: a body written
+        # after the headers waits for the client's delayed ACK of them.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _param(self, query: dict, name: str, cast, default=_REQUIRED):
         # A sentinel (not None) marks required params, so optional params
@@ -274,6 +301,8 @@ class _Handler(BaseHTTPRequestHandler):
             handler = server.routes.get(route_key)
             if handler is None:
                 raise _HTTPError(404, f"no route {method} {parsed.path}")
+            if gated and route_key not in _WRITE_ROUTES:
+                server._yield_to_writes()
             self._reply(handler(server, query, self))
         except _HTTPError as exc:
             self._reply({"error": str(exc)}, status=exc.status)
@@ -488,7 +517,8 @@ def _route_ingest(server, query, handler) -> dict:
         raise _HTTPError(
             400, "each sample must be an [indices, values] pair of flat lists"
         )
-    serving.ingest_sparse(samples)
+    with server._writing():
+        serving.ingest_sparse(samples)
     return {
         "ingested": len(samples),
         "write_samples_seen": serving.sketcher.samples_seen,
@@ -497,7 +527,8 @@ def _route_ingest(server, query, handler) -> dict:
 
 def _route_refresh(server, query, handler) -> dict:
     serving = server.require_serving()
-    snapshot = serving.refresh()
+    with server._writing():
+        snapshot = serving.refresh()
     return {
         "snapshot_id": snapshot.snapshot_id,
         "swap_count": serving.swap_count,
@@ -591,6 +622,10 @@ class ServingHTTPServer(ThreadingHTTPServer):
             else None
         )
         self._serve_thread: threading.Thread | None = None
+        self._served = False  # serve_forever entered at least once
+        # In-flight /ingest and /refresh calls; reads wait for zero.
+        self._write_gate = threading.Condition(threading.Lock())
+        self._writes_in_flight = 0
         # The server's own registry holds the HTTP-layer instruments; the
         # /metrics exposition renders it merged with the target stack's
         # registries (serving estimator / engine / durable write side).
@@ -631,6 +666,29 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def _release(self) -> None:
         if self._admission is not None:
             self._admission.release()
+
+    # ------------------------------------------------------------------
+    # Write priority
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _writing(self):
+        """Count a write in flight for the duration of the block."""
+        with self._write_gate:
+            self._writes_in_flight += 1
+        try:
+            yield
+        finally:
+            with self._write_gate:
+                self._writes_in_flight -= 1
+                if not self._writes_in_flight:
+                    self._write_gate.notify_all()
+
+    def _yield_to_writes(self) -> None:
+        """Wait until no write is in flight, at most READ_YIELD_SECONDS."""
+        with self._write_gate:
+            self._write_gate.wait_for(
+                lambda: not self._writes_in_flight, timeout=READ_YIELD_SECONDS
+            )
 
     @property
     def rejected_requests(self) -> int:
@@ -708,14 +766,21 @@ class ServingHTTPServer(ThreadingHTTPServer):
             return k, cap
         return min(k, cap), cap
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._served = True
+        super().serve_forever(poll_interval)
+
     def stop(self, timeout: float | None = 5.0) -> None:
         """Shut down, join the background serve thread (if any), close.
 
         Bounded: ``timeout`` caps the join so a hung in-flight handler
         cannot wedge interpreter shutdown (threads are daemonic anyway).
+        A server that never served is only closed: ``shutdown()`` waits
+        for a ``serve_forever`` loop to exit and would wait forever.
         """
-        self.shutdown()
         thread = self._serve_thread
+        if self._served or thread is not None:
+            self.shutdown()
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=timeout)
         self.server_close()

@@ -17,9 +17,16 @@ behaviour, and the serving CheckpointManager's walk-back over
 hand-truncated snapshot files.
 """
 
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.covariance import InvalidBatchError
 from repro.distributed import ShardSpec
 from repro.distributed.shard import extract_shard_result, spec_with
 from repro.durability import (
@@ -685,3 +692,128 @@ class TestCheckpointManagerWalkBack:
         for path in manager.checkpoints():
             truncate_file(path, fraction=0.3)
         assert manager.load_latest() is None
+
+
+# ----------------------------------------------------------------------
+# Validate-then-apply, as properties: a refused batch leaves no trace
+# ----------------------------------------------------------------------
+#: ASCS (past its exploration phase after a few batches) with a tracker,
+#: so the accept counters and the tracker are writer state too.
+ASCS_SPEC = spec_with(
+    SPECS["float64"],
+    method="ascs",
+    schedule=(8, 0.01, 0.1, 4000),
+    track_top=32,
+    batch_size=4,
+)
+
+
+def _set(array, position, value):
+    array = array.copy()
+    array[position] = value
+    return array
+
+
+#: Ways one sample fails the batch checks; each maps a good
+#: ``(indices, values)`` sample to a bad one.
+FAULTS = {
+    "nan-value": lambda i, v: (i, _set(v, 0, np.nan)),
+    "inf-value": lambda i, v: (i, _set(v, -1, np.inf)),
+    "minus-inf-value": lambda i, v: (i, _set(v, 0, -np.inf)),
+    "index-past-dim": lambda i, v: (_set(i, -1, ASCS_SPEC.dim), v),
+    "negative-index": lambda i, v: (_set(i, 0, -1), v),
+    "repeated-index": lambda i, v: (_set(i, 1, i[0]), v),
+    "misaligned": lambda i, v: (i, v[:-1]),
+    "two-dimensional": lambda i, v: (i[None, :], v[None, :]),
+}
+
+
+def _samples(rng, n):
+    """``n`` sparse samples of 2-6 distinct indices, in no fixed order."""
+    samples = []
+    for _ in range(n):
+        k = int(rng.integers(2, 7))
+        indices = rng.choice(ASCS_SPEC.dim, size=k, replace=False).astype(np.int64)
+        samples.append((indices, rng.standard_normal(k)))
+    return samples
+
+
+def _digest(sketcher) -> str:
+    """SHA-256 over all writer state: samples seen, moments, sketch table,
+    tracker and accept counters (:func:`_state_arrays`)."""
+    digest = hashlib.sha256()
+    for name, value in _state_arrays(sketcher, ASCS_SPEC).items():
+        array = np.ascontiguousarray(value)
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestRefusalLeavesNoTrace:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 20),
+        fault=st.sampled_from([None, *FAULTS]),
+        position=st.integers(0, 19),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_list_applies_whole_or_changes_nothing(self, seed, size, fault, position):
+        """A list (an ``/ingest`` body) spanning several batches applies
+        completely, exactly as the same samples streamed batch by batch,
+        or, with one bad sample anywhere, changes nothing."""
+        rng = np.random.default_rng(seed)
+        warm = _samples(rng, 12)
+        samples = _samples(rng, size)
+        sketcher = ASCS_SPEC.build_sketcher()
+        sketcher.fit_sparse(warm)
+        before = _digest(sketcher)
+        if fault is None:
+            sketcher.fit_sparse(samples)
+            streamed = ASCS_SPEC.build_sketcher()
+            streamed.fit_sparse(warm)
+            streamed.fit_sparse(iter(samples))
+            assert sketcher.samples_seen == len(warm) + size
+            assert _digest(sketcher) == _digest(streamed)
+        else:
+            at = position % size
+            samples[at] = FAULTS[fault](*samples[at])
+            with pytest.raises(InvalidBatchError):
+                sketcher.fit_sparse(samples)
+            assert _digest(sketcher) == before
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sent_before=st.integers(0, 4),
+        sent_after=st.integers(0, 3),
+        fault=st.sampled_from(sorted(FAULTS)),
+        position=st.integers(0, 5),
+        checkpoint_every=st.sampled_from([0, 1, 2]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_reopening_after_a_refusal_equals_never_sending_it(
+        self, seed, sent_before, sent_after, fault, position, checkpoint_every
+    ):
+        rng = np.random.default_rng(seed)
+        batches = [_samples(rng, 4) for _ in range(sent_before + sent_after)]
+        bad = _samples(rng, 6)
+        bad[position] = FAULTS[fault](*bad[position])
+
+        def reopened(directory, stream):
+            with DurableSketcher(
+                directory, ASCS_SPEC, checkpoint_every=checkpoint_every
+            ) as durable:
+                for batch in stream:
+                    if batch is bad:
+                        with pytest.raises(InvalidBatchError):
+                            durable.fit_sparse(batch)
+                    else:
+                        durable.fit_sparse(batch)
+            with DurableSketcher(directory) as durable:
+                return _digest(durable), durable.journal.last_seq
+
+        with tempfile.TemporaryDirectory() as root:
+            refused = reopened(
+                Path(root, "refused"),
+                batches[:sent_before] + [bad] + batches[sent_before:],
+            )
+            assert refused == reopened(Path(root, "clean"), batches)

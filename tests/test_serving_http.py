@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import socket
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -423,6 +425,70 @@ class TestRequestFraming:
                 reply = _read_reply(reader)
                 assert reply is not None and reply[0] == status
                 assert "connection" not in reply[1]
+
+
+def _exchange(conn, method, path, payload=None):
+    """One request on a persistent ``http.client`` connection:
+    ``(status, body bytes)``."""
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestKeepAlive:
+    """Requests on one persistent connection, as a keep-alive client sends
+    them.  A reply written in two pieces with Nagle's algorithm on holds
+    its tail until the client ACKs the head, which a client delays by
+    about 40 ms; each reply must arrive without that wait."""
+
+    READS = 48
+
+    @pytest.fixture
+    def conn(self, serving_server):
+        _, server, _ = serving_server
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        yield conn
+        conn.close()
+
+    def _read_session(self, conn, rng):
+        """Client-side seconds per ``GET /pair``, and for all reads, on one
+        connection mixing ``/pair``, ``/query`` and ``/ingest``."""
+        pair_seconds, read_seconds = [], []
+        for n in range(self.READS):
+            if n % 8 == 7:
+                samples = [
+                    [idx.tolist(), val.tolist()] for idx, val in _make_samples(4, rng)
+                ]
+                status, _ = _exchange(conn, "POST", "/ingest", {"samples": samples})
+                assert status == 200
+            started = time.perf_counter()
+            if n % 2:
+                status, _ = _exchange(conn, "GET", f"/pair?i={n % 20}&j=30")
+            else:
+                status, _ = _exchange(conn, "POST", "/query", {"keys": [n, n + 1]})
+            elapsed = time.perf_counter() - started
+            assert status == 200
+            read_seconds.append(elapsed)
+            if n % 2:
+                pair_seconds.append(elapsed)
+        return pair_seconds, read_seconds
+
+    def test_keep_alive_reads_do_not_wait_for_delayed_acks(self, conn, rng):
+        _, read_seconds = self._read_session(conn, rng)
+        assert statistics.median(read_seconds) < 0.020
+
+    def test_server_latency_matches_what_the_client_sees(self, conn, rng):
+        # The handler times a request and records it after the reply, so
+        # /stats is asked on the same connection: the last read is in.
+        # With no reply stall left, the client waits only a loopback
+        # round trip longer.
+        pair_seconds, _ = self._read_session(conn, rng)
+        status, body = _exchange(conn, "GET", "/stats")
+        assert status == 200
+        served = json.loads(body)["http"]["latency"]["GET /pair"]
+        assert served["count"] == len(pair_seconds)
+        assert abs(served["p50"] - statistics.median(pair_seconds)) < 0.010
 
 
 class TestObservabilityEndpoints:

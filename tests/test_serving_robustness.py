@@ -14,7 +14,11 @@ deterministic fault injectors:
 
 from __future__ import annotations
 
+import http.client
+import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -26,8 +30,9 @@ from repro.covariance import InvalidBatchError
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.durability.breaker import CircuitBreaker, CircuitOpenError
 from repro.durability.faults import Flaky
-from repro.serving import ServingEstimator
-from repro.serving.http import ServingClient, serve_in_background
+from repro.serving import ServingEstimator, SketchSnapshot
+from repro.serving import http as serving_http
+from repro.serving.http import ServingClient, ServingHTTPServer, serve_in_background
 from repro.sketch.count_sketch import CountSketch
 
 pytestmark = pytest.mark.faults
@@ -76,6 +81,35 @@ REFUSED_BATCHES = [
     (np.asarray([0, DIM]), np.asarray([1.0, 2.0])),
     (np.asarray([4, 1, 4]), np.asarray([1.0, 2.0, 3.0])),
 ]
+
+
+def _ingest_body(rng, n) -> dict:
+    return {
+        "samples": [[idx.tolist(), val.tolist()] for idx, val in _make_samples(n, rng)]
+    }
+
+
+def _keep_alive(server) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+
+
+def _exchange(conn, method, path, payload=None):
+    """One request on a persistent connection: ``(status, body bytes)``."""
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+def _hang(method, entered, release):
+    """``method``, blocked until ``release`` is set; ``entered`` marks the call."""
+
+    def hung(*args):
+        entered.set()
+        release.wait(timeout=30.0)
+        return method(*args)
+
+    return hung
 
 
 def _fail_writes(serving, *, times):
@@ -478,3 +512,156 @@ class TestServerDegradation:
         server, thread = serve_in_background(serving)
         server.stop(timeout=5.0)
         assert not thread.is_alive()
+
+    def test_stop_returns_on_a_server_that_never_served(self, rng):
+        # shutdown() waits for a serve_forever loop to exit; with none
+        # ever started it would wait forever.
+        server = ServingHTTPServer(_make_serving(rng).snapshot)
+        stopper = threading.Thread(
+            target=server.stop, kwargs={"timeout": 1.0}, daemon=True
+        )
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() blocked on a never-served server"
+        assert server.socket.fileno() == -1  # closed
+
+
+class TestWritePriority:
+    """Reads yield to in-flight writes, for at most ``READ_YIELD_SECONDS``."""
+
+    def test_hung_writes_delay_reads_by_the_bound_only(self, rng, monkeypatch):
+        serving = _make_serving(rng)
+        probe = serving.query_pair(0, 3)
+        bound = serving_http.READ_YIELD_SECONDS
+        # Each write route blocks inside the write side until released.
+        gates = {
+            name: (threading.Event(), threading.Event())
+            for name in ("ingest_sparse", "refresh")
+        }
+        for name, (entered, release) in gates.items():
+            monkeypatch.setattr(
+                serving, name, _hang(getattr(serving, name), entered, release)
+            )
+        server, _thread = serve_in_background(serving)
+        conns = {name: _keep_alive(server) for name in ("ingest", "refresh", "read")}
+        replies = {}
+
+        def send(name, path, payload=None):
+            replies[name] = _exchange(conns[name], "POST", path, payload)
+
+        writers = {
+            "ingest": threading.Thread(
+                target=send,
+                args=("ingest", "/ingest", _ingest_body(rng, 4)),
+                daemon=True,
+            ),
+            "refresh": threading.Thread(
+                target=send, args=("refresh", "/refresh"), daemon=True
+            ),
+        }
+
+        def read_seconds():
+            started = time.perf_counter()
+            status, body = _exchange(conns["read"], "GET", "/pair?i=0&j=3")
+            assert status == 200
+            assert json.loads(body)["estimate"] == probe  # stale, available
+            return time.perf_counter() - started
+
+        try:
+            for writer in writers.values():
+                writer.start()
+            for entered, _ in gates.values():
+                assert entered.wait(timeout=5.0)
+            # Two writes in flight: a read waits out the bound, then answers.
+            assert bound * 0.9 <= read_seconds() < bound + 2.0
+            for path in ("/health", "/metrics"):
+                started = time.perf_counter()
+                status, _ = _exchange(conns["read"], "GET", path)
+                assert status == 200
+                assert time.perf_counter() - started < bound, path
+            # The wait is part of the route's latency series (recorded after
+            # the reply, so read once the connection has moved on).
+            assert server.http_stats()["latency"]["GET /pair"]["sum"] >= bound * 0.9
+            # One write done, one still in flight: reads still yield.
+            gates["refresh"][1].set()
+            writers["refresh"].join(timeout=10.0)
+            assert not writers["refresh"].is_alive()
+            assert replies["refresh"][0] == 200
+            assert read_seconds() >= bound * 0.9
+            # The last write out lets reads through at once.
+            gates["ingest_sparse"][1].set()
+            writers["ingest"].join(timeout=10.0)
+            assert not writers["ingest"].is_alive()
+            assert replies["ingest"][0] == 200
+            assert read_seconds() < bound
+            # So does a write that fails: a refused batch is a 400.
+            refused = {"samples": [[[0, DIM], [1.0, 2.0]]]}
+            assert _exchange(conns["ingest"], "POST", "/ingest", refused)[0] == 400
+            assert read_seconds() < bound
+            assert server._writes_in_flight == 0
+        finally:
+            for _, release in gates.values():
+                release.set()
+            for conn in conns.values():
+                conn.close()
+            server.stop(timeout=5.0)
+
+    def test_reads_and_overlapping_writes_under_contention(self, rng):
+        # More threads than cores, each on its own keep-alive connection,
+        # with a short switch interval to interleave the gate's updates.
+        serving = _make_serving(rng)
+        server, _thread = serve_in_background(serving)
+        rows_before = serving.sketcher.samples_seen
+        ingests = [[_ingest_body(rng, 4) for _ in range(10)] for _ in range(2)]
+        reads = [
+            ("GET", "/pair?i=0&j=3", None),
+            ("POST", "/query", {"keys": list(range(16))}),
+            ("GET", "/top?k=5", None),
+        ]
+        plans = [[("POST", "/ingest", body) for body in own] for own in ingests]
+        plans.append([("POST", "/refresh", None)] * 8)
+        plans += [reads * 10 for _ in range(4)]
+        statuses, acks = [], []
+
+        def run(plan):
+            conn = _keep_alive(server)
+            try:
+                for method, path, payload in plan:
+                    status, body = _exchange(conn, method, path, payload)
+                    statuses.append(status)
+                    if path == "/ingest" and status == 200:
+                        acks.append(json.loads(body)["write_samples_seen"])
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=run, args=(p,), daemon=True) for p in plans]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert statuses == [200] * sum(len(plan) for plan in plans)
+            assert server._writes_in_flight == 0
+            rows = rows_before + sum(len(b["samples"]) for own in ingests for b in own)
+            assert max(acks) == serving.sketcher.samples_seen == rows
+            conn = _keep_alive(server)
+            try:
+                assert _exchange(conn, "POST", "/refresh")[0] == 200
+                keys = np.arange(serving.sketcher.num_pairs, dtype=np.int64)
+                payload = {"keys": keys.tolist()}
+                status, body = _exchange(conn, "POST", "/query", payload)
+            finally:
+                conn.close()
+            assert status == 200
+            expected = SketchSnapshot.from_sketcher(serving.sketcher).query_keys(keys)
+            assert serving.snapshot.samples_seen == rows
+            served = json.loads(body)["estimates"]
+            assert list(map(repr, served)) == list(map(repr, expected.tolist()))
+        finally:
+            server.stop(timeout=5.0)
