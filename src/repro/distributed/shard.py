@@ -40,7 +40,7 @@ from repro.core.ascs import ActiveSamplingCountSketch
 from repro.core.estimator import SketchEstimator
 from repro.core.schedule import ThresholdSchedule
 from repro.covariance.pipeline import CovarianceSketcher
-from repro.durability.integrity import verify_arrays, write_npz
+from repro.durability.integrity import read_npz, write_npz
 from repro.hashing.pairs import num_pairs
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.hierarchical import HierarchicalCountSketch
@@ -51,6 +51,7 @@ __all__ = [
     "sketch_shard",
     "save_shard_result",
     "load_shard_result",
+    "shard_result_from_arrays",
     "spec_to_arrays",
     "spec_from_arrays",
     "restore_sketcher",
@@ -319,78 +320,47 @@ def sketch_shard(
 # ----------------------------------------------------------------------
 # Serialisation (.npz, no pickling — mirrors repro.sketch.serialization)
 # ----------------------------------------------------------------------
-_SPEC_STR_FIELDS = ("method", "family", "storage", "mode")
-
-
 def spec_to_arrays(spec: ShardSpec, *, prefix: str = "spec_") -> dict:
     """A :class:`ShardSpec` as a flat ``{name: ndarray}`` dict.
 
-    Scalars are stored as 0-d arrays and strings as fixed unicode, so the
-    dict survives ``np.savez`` with ``allow_pickle=False``.  ``None``
-    optionals (schedule, quantum) encode as NaN.  The durability tier
-    persists a spec alone (the recovery recipe); :func:`save_shard_result`
-    embeds the same members inside each shard file.
+    Each field is stored as ``np.asarray(value)`` (scalars as 0-d arrays,
+    strings as fixed unicode), so the dict survives ``np.savez`` with
+    ``allow_pickle=False``.  A ``None`` optional encodes as NaN — four of
+    them for the schedule.  The durability tier persists a spec alone (the
+    recovery recipe); :func:`save_shard_result` embeds the same members
+    inside each shard file.
     """
     payload: dict[str, np.ndarray] = {}
     for f in fields(ShardSpec):
         value = getattr(spec, f.name)
-        if f.name == "schedule":
-            payload[prefix + "schedule"] = (
-                np.full(4, np.nan)
-                if value is None
-                else np.asarray(value, dtype=np.float64)
-            )
-        elif f.name == "quantum":
-            # None encodes as NaN (like the optional schedule): np.asarray
-            # on None would produce an object array savez cannot store.
-            payload[prefix + "quantum"] = np.asarray(
-                np.nan if value is None else value, dtype=np.float64
-            )
-        else:
-            payload[prefix + f.name] = np.asarray(value)
+        if value is None:
+            value = [np.nan] * 4 if f.name == "schedule" else np.nan
+        payload[prefix + f.name] = np.asarray(value)
     return payload
 
 
 def spec_from_arrays(data, *, prefix: str = "spec_") -> ShardSpec:
     """Rebuild a :class:`ShardSpec` from :func:`spec_to_arrays` output.
 
-    Only the spec's current fields are read.  Members missing from
-    ``data`` keep their dataclass defaults, so files written before a
+    0-d members decode with ``.item()`` and the schedule as a tuple
+    (``ShardSpec`` coerces its element types); NaN decodes back to
+    ``None``.  Only the spec's current fields are read.  Members missing
+    from ``data`` keep their dataclass defaults, so files written before a
     spec field existed (e.g. pre-memory-tier shards with no
     ``storage``/``quantum``) still load, and members of fields that no
     longer exist (the ``spec_backend`` older files carry) are ignored.
     """
-    schedule_raw = data[prefix + "schedule"]
-    schedule = (
-        None
-        if np.isnan(schedule_raw).any()
-        else (
-            int(schedule_raw[0]),
-            float(schedule_raw[1]),
-            float(schedule_raw[2]),
-            int(schedule_raw[3]),
-        )
-    )
     spec_kwargs = {}
     for f in fields(ShardSpec):
-        if f.name == "schedule":
-            continue
         member = prefix + f.name
         if member not in data:
             continue
-        raw = data[member]
-        if f.name in _SPEC_STR_FIELDS:
-            spec_kwargs[f.name] = str(raw)
-        elif f.name == "quantum":
-            value = float(raw)
-            spec_kwargs[f.name] = None if np.isnan(value) else value
-        elif f.name in ("std_floor",):
-            spec_kwargs[f.name] = float(raw)
-        elif f.name == "two_sided":
-            spec_kwargs[f.name] = bool(raw)
+        raw = np.asarray(data[member])
+        if raw.dtype.kind == "f" and np.isnan(raw).any():
+            spec_kwargs[f.name] = None
         else:
-            spec_kwargs[f.name] = int(raw)
-    return ShardSpec(schedule=schedule, **spec_kwargs)
+            spec_kwargs[f.name] = raw.item() if raw.ndim == 0 else tuple(raw.tolist())
+    return ShardSpec(**spec_kwargs)
 
 
 def save_shard_result(result: ShardResult, path, *, extra: dict | None = None) -> None:
@@ -430,30 +400,34 @@ def save_shard_result(result: ShardResult, path, *, extra: dict | None = None) -
 def load_shard_result(path) -> ShardResult:
     """Restore a :class:`ShardResult` written by :func:`save_shard_result`.
 
-    Files carrying integrity members are CRC-verified
-    (:class:`repro.durability.IntegrityError` names the file and the bad
-    member on mismatch); files from before the durability tier load
+    Files carrying integrity members are CRC-verified, and a file that
+    cannot be read raises :class:`repro.durability.IntegrityError` naming
+    it and the reason; files from before the durability tier load
     unverified, exactly as they always did.
     """
-    with np.load(path, allow_pickle=False) as data:
-        verify_arrays(data, source=str(path))
-        spec = spec_from_arrays(data)
-        return ShardResult(
-            spec=spec,
-            shard_index=int(data["shard_index"]),
-            num_shards=int(data["num_shards"]),
-            start=int(data["start"]),
-            stop=int(data["stop"]),
-            table=data["table"].copy(),
-            samples_seen=int(data["samples_seen"]),
-            updates_examined=int(data["updates_examined"]),
-            updates_accepted=int(data["updates_accepted"]),
-            moments_count=int(data["moments_count"]),
-            moments_sum=data["moments_sum"].copy(),
-            moments_sumsq=data["moments_sumsq"].copy(),
-            tracker_keys=data["tracker_keys"].copy(),
-            tracker_estimates=data["tracker_estimates"].copy(),
-        )
+    with read_npz(path) as data:
+        return shard_result_from_arrays(data)
+
+
+def shard_result_from_arrays(data) -> ShardResult:
+    """Decode :func:`save_shard_result` members (as :func:`read_npz`
+    yields them) into a :class:`ShardResult` that adopts their arrays."""
+    return ShardResult(
+        spec=spec_from_arrays(data),
+        shard_index=int(data["shard_index"]),
+        num_shards=int(data["num_shards"]),
+        start=int(data["start"]),
+        stop=int(data["stop"]),
+        table=data["table"],
+        samples_seen=int(data["samples_seen"]),
+        updates_examined=int(data["updates_examined"]),
+        updates_accepted=int(data["updates_accepted"]),
+        moments_count=int(data["moments_count"]),
+        moments_sum=data["moments_sum"],
+        moments_sumsq=data["moments_sumsq"],
+        tracker_keys=data["tracker_keys"],
+        tracker_estimates=data["tracker_estimates"],
+    )
 
 
 def restore_sketcher(result: ShardResult) -> CovarianceSketcher:

@@ -13,6 +13,12 @@
   loads the newest *valid* checkpoint — quarantining truncated or corrupt
   ones with a logged reason — and replays the journalled batches past it.
 
+Every artifact here is read through
+:func:`repro.durability.integrity.read_npz` and the checkpoint walk-back is
+:func:`repro.durability.integrity.load_newest`, the same reader and walk
+the serving ``CheckpointManager`` uses: a damaged recipe, checkpoint, ring
+manifest or pane is always an :class:`IntegrityError` naming the file.
+
 Because ingestion is deterministic at call granularity (``fit_sparse``
 batches on a fixed grid and flushes per call; ASCS gates on the sketch
 state, no RNG), the recovered state is **bit-identical** to the
@@ -42,11 +48,7 @@ rows as sparse samples over every feature.
 from __future__ import annotations
 
 import logging
-import os
 import re
-import struct
-import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +57,19 @@ from repro.covariance.updates import InvalidBatchError, validate_sparse_batch
 from repro.distributed.shard import (
     ShardSpec,
     extract_shard_result,
-    load_shard_result,
     restore_sketcher,
     save_shard_result,
+    shard_result_from_arrays,
     spec_from_arrays,
     spec_to_arrays,
 )
-from repro.durability.integrity import IntegrityError, verify_arrays, write_npz
+from repro.durability.integrity import (
+    IntegrityError,
+    load_newest,
+    quarantine,
+    read_npz,
+    write_npz,
+)
 from repro.durability.journal import IngestJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming.windows import PaneRing
@@ -72,19 +80,6 @@ logger = logging.getLogger(__name__)
 
 _RECIPE = "spec.npz"
 _CKPT_RE = re.compile(r"^ckpt-(?P<id>\d{8})\.npz$")
-
-#: Exceptions that mean "this artifact is unreadable", not "this code is
-#: broken" — the checkpoint walk-back quarantines on these and keeps going.
-_CORRUPTION_ERRORS = (
-    IntegrityError,
-    OSError,
-    ValueError,
-    KeyError,
-    EOFError,
-    zipfile.BadZipFile,
-    zlib.error,
-    struct.error,
-)
 
 
 class DurableSketcher:
@@ -201,12 +196,15 @@ class DurableSketcher:
             # checkpoint is the committed truth — adopt its spec/geometry
             # and self-heal the recipe, so recovery always lands on
             # exactly one side of the migration, never a hybrid.
-            self._adopt_checkpoint_config(inner)
+            self._adopt_config(inner)
         if inner is None:
             inner = fresh if fresh is not None else self._fresh_inner()
         self._inner = inner
         self.checkpoint_seq = ckpt_seq
         self.recovered_from = ckpt_id
+        #: ``wal_seq`` of each checkpoint this process wrote or recovered
+        #: from, so pruning need not re-read (possibly damaged) files.
+        self._ckpt_seqs = {} if ckpt_id is None else {ckpt_id: ckpt_seq}
         self._next_ckpt = self._next_checkpoint_id()
         self.journal = IngestJournal(
             self.directory,
@@ -249,17 +247,12 @@ class DurableSketcher:
         write_npz(path, payload)
 
     def _load_recipe(self, path, spec, num_panes, pane_samples) -> None:
-        with np.load(path, allow_pickle=False) as data:
-            verify_arrays(data, source=str(path))
+        with read_npz(path) as data:
             recipe_spec = spec_from_arrays(data)
             windowed = bool(int(data["windowed"]))
             recipe_panes = int(data["num_panes"]) if windowed else None
             recipe_samples = int(data["pane_samples"]) if windowed else None
-            recipe_retain = (
-                bool(int(data["retain_raw"]))
-                if "retain_raw" in data.files
-                else False
-            )
+            recipe_retain = bool(int(data.get("retain_raw", 0)))
         if spec is not None and spec != recipe_spec:
             raise ValueError(
                 f"{path}: the passed spec differs from the persisted recipe; "
@@ -281,8 +274,8 @@ class DurableSketcher:
         self.pane_samples = recipe_samples
         self.retain_raw = recipe_retain
 
-    def _adopt_checkpoint_config(self, ring: PaneRing) -> None:
-        """Align the recipe with a recovered checkpoint's configuration."""
+    def _adopt_config(self, ring: PaneRing) -> None:
+        """Align the recipe with a committed checkpoint's configuration."""
         if (
             ring.spec == self.spec
             and ring.num_panes == self.num_panes
@@ -291,7 +284,7 @@ class DurableSketcher:
         ):
             return
         logger.info(
-            "%s: recovered checkpoint carries a migrated configuration; "
+            "%s: committed checkpoint carries a migrated configuration; "
             "adopting it and rewriting the recipe",
             self.directory,
         )
@@ -338,54 +331,32 @@ class DurableSketcher:
         entries = self._checkpoints()
         return entries[-1][0] + 1 if entries else 0
 
-    def _ring_dir(self, ckpt_id: int) -> Path:
-        return self.directory / f"ckpt-{ckpt_id:08d}.ring"
-
-    def _quarantine(self, path: Path, reason: Exception) -> None:
-        logger.warning(
-            "quarantining corrupt checkpoint %s: %s", path, reason
-        )
-        targets = [path]
-        if self.windowed:
-            ring = self._ring_dir(int(_CKPT_RE.match(path.name).group("id")))
-            if ring.exists():
-                targets.append(ring)
-        for target in targets:
-            try:
-                os.replace(target, target.with_name(target.name + ".corrupt"))
-            except OSError:  # pragma: no cover - quarantine is best-effort
-                logger.warning("could not quarantine %s", target)
+    def _load_checkpoint(self, path: Path):
+        """``(live_write_side, wal_seq, id)`` restored from one checkpoint."""
+        ckpt_id = int(_CKPT_RE.match(path.name).group("id"))
+        with read_npz(path) as data:
+            wal_seq = int(data["wal_seq"])
+            if not self.windowed:
+                inner = restore_sketcher(shard_result_from_arrays(data))
+                return inner, wal_seq, ckpt_id
+        ring = PaneRing.load(path.with_suffix(".ring"), registry=self.registry)
+        return ring, wal_seq, ckpt_id
 
     def _load_latest_checkpoint(self):
         """Newest valid checkpoint as ``(live_write_side, wal_seq, id)``.
 
         Walks the checkpoints newest-first; truncated, bit-flipped or
-        half-written ones are quarantined (renamed ``*.corrupt``) with a
-        logged reason and the walk continues — the
-        ``CheckpointManager.load_latest`` discipline, applied to ingest
-        state.  Returns ``(None, -1, None)`` when no checkpoint survives.
+        half-written ones are quarantined (renamed ``*.corrupt``, with
+        their ring directory) with a logged reason and the walk continues —
+        the walk-back ``CheckpointManager.load_latest`` shares.  Returns
+        ``(None, -1, None)`` when no checkpoint survives.
         """
-        for ckpt_id, path in reversed(self._checkpoints()):
-            try:
-                if self.windowed:
-                    with np.load(path, allow_pickle=False) as data:
-                        verify_arrays(data, source=str(path))
-                        wal_seq = int(data["wal_seq"])
-                    inner = PaneRing.load(
-                        self._ring_dir(ckpt_id), registry=self.registry
-                    )
-                else:
-                    result = load_shard_result(path)
-                    with np.load(path, allow_pickle=False) as data:
-                        wal_seq = (
-                            int(data["wal_seq"]) if "wal_seq" in data.files else -1
-                        )
-                    inner = restore_sketcher(result)
-            except _CORRUPTION_ERRORS as exc:
-                self._quarantine(path, exc)
-                continue
-            return inner, wal_seq, ckpt_id
-        return None, -1, None
+        found = load_newest(
+            [path for _, path in self._checkpoints()],
+            self._load_checkpoint,
+            lambda path, exc: quarantine(path, exc, path.with_suffix(".ring")),
+        )
+        return found or (None, -1, None)
 
     def checkpoint(self) -> Path:
         """Persist the current state; returns the checkpoint path.
@@ -395,29 +366,7 @@ class DurableSketcher:
         checkpoints beyond ``keep_checkpoints`` are pruned, along with the
         journal segments fully covered by the oldest retained checkpoint.
         """
-        with self._ckpt_seconds.time():
-            self.journal.sync()
-            wal_seq = self.journal.last_seq
-            ckpt_id = self._next_ckpt
-            path = self.directory / f"ckpt-{ckpt_id:08d}.npz"
-            if self.windowed:
-                # Ring first, tiny marker last + atomically: recovery
-                # treats a checkpoint as existing only once its marker is
-                # complete.
-                self._inner.save(self._ring_dir(ckpt_id))
-                write_npz(
-                    path, {"ring": np.asarray(1), "wal_seq": np.asarray(wal_seq)}
-                )
-            else:
-                result = extract_shard_result(self._inner, self.spec)
-                save_shard_result(result, path, extra={"wal_seq": wal_seq})
-            self._next_ckpt = ckpt_id + 1
-            self.checkpoint_seq = wal_seq
-            self._records_since_checkpoint = 0
-            self._prune()
-        self._ckpt_total.inc()
-        self._ckpt_bytes.set(path.stat().st_size)
-        return path
+        return self._commit(self._inner)
 
     def migrate(self, spec: ShardSpec, *, num_panes: int | None = None) -> Path:
         """Re-shape the windowed write side crash-safely, keeping history.
@@ -448,23 +397,38 @@ class DurableSketcher:
                 "migrate() needs a windowed durable sketcher "
                 "(create with num_panes/pane_samples)"
             )
-        new_ring = self._inner.rebuild(
-            spec, num_panes=num_panes, registry=self.registry
+        return self._commit(
+            self._inner.rebuild(spec, num_panes=num_panes, registry=self.registry)
         )
+
+    def _commit(self, inner) -> Path:
+        """Checkpoint ``inner`` and make it the write side.
+
+        Syncs the journal, writes the state, then the marker — the commit
+        point: a failure before it leaves the previous checkpoint, ring
+        and recipe in force.  Only after it does a windowed ``inner``
+        with a new configuration (a migration) take over the spec and the
+        recipe.  Then the ids advance and old checkpoints are pruned.
+        """
         with self._ckpt_seconds.time():
             self.journal.sync()
             wal_seq = self.journal.last_seq
             ckpt_id = self._next_ckpt
             path = self.directory / f"ckpt-{ckpt_id:08d}.npz"
-            new_ring.save(self._ring_dir(ckpt_id))
-            # Commit point (atomic tmp+rename inside write_npz).
-            write_npz(
-                path, {"ring": np.asarray(1), "wal_seq": np.asarray(wal_seq)}
-            )
-            self._inner = new_ring
-            self.spec = spec
-            self.num_panes = new_ring.num_panes
-            self._write_recipe(self.directory / _RECIPE)
+            if self.windowed:
+                # Ring first, tiny marker last + atomically (write_npz's
+                # tmp + rename): recovery treats a checkpoint as existing
+                # only once its marker is complete.
+                inner.save(path.with_suffix(".ring"))
+                write_npz(
+                    path, {"ring": np.asarray(1), "wal_seq": np.asarray(wal_seq)}
+                )
+                self._adopt_config(inner)
+            else:
+                result = extract_shard_result(inner, self.spec)
+                save_shard_result(result, path, extra={"wal_seq": wal_seq})
+            self._inner = inner
+            self._ckpt_seqs[ckpt_id] = wal_seq
             self._next_ckpt = ckpt_id + 1
             self.checkpoint_seq = wal_seq
             self._records_since_checkpoint = 0
@@ -474,22 +438,43 @@ class DurableSketcher:
         return path
 
     def _prune(self) -> None:
+        """Drop checkpoints past ``keep_checkpoints`` and the journal
+        segments the oldest kept one covers.
+
+        That checkpoint's ``wal_seq`` is remembered when this process
+        wrote or recovered from it; otherwise it is read back.  When that
+        read fails the journal is kept whole this round, with a warning:
+        a damaged file on disk must not fail the ingest that triggered
+        the checkpoint.
+        """
         entries = self._checkpoints()
-        drop = entries[: -self.keep_checkpoints]
-        keep = entries[-self.keep_checkpoints :]
-        for ckpt_id, path in drop:
+        for ckpt_id, path in entries[: -self.keep_checkpoints]:
             path.unlink(missing_ok=True)
-            ring = self._ring_dir(ckpt_id)
+            self._ckpt_seqs.pop(ckpt_id, None)
+            ring = path.with_suffix(".ring")
             if ring.exists():
                 for pane in ring.iterdir():
                     pane.unlink()
                 ring.rmdir()
-        if keep:
-            oldest_path = keep[0][1]
-            with np.load(oldest_path, allow_pickle=False) as data:
-                covered = int(data["wal_seq"]) if "wal_seq" in data.files else -1
-            if covered >= 0:
-                self.journal.prune_through(covered)
+        if not entries:
+            return
+        oldest_id, oldest = entries[-self.keep_checkpoints :][0]
+        covered = self._ckpt_seqs.get(oldest_id)
+        if covered is None:
+            try:
+                with read_npz(oldest) as data:
+                    covered = int(data["wal_seq"])
+            except (IntegrityError, OSError) as exc:
+                logger.warning(
+                    "keeping the journal whole: cannot read the WAL "
+                    "position of checkpoint %s: %s",
+                    oldest,
+                    exc,
+                )
+                return
+            self._ckpt_seqs[oldest_id] = covered
+        if covered >= 0:
+            self.journal.prune_through(covered)
 
     # ------------------------------------------------------------------
     # Replay

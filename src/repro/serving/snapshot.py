@@ -24,9 +24,7 @@ them on disk.
 
 from __future__ import annotations
 
-import logging
 import math
-import os
 import re
 import threading
 from dataclasses import dataclass, field
@@ -35,25 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.durability.integrity import (
-    IntegrityError,
-    corruption_guard,
-    crc32_array,
-    recorded_crcs,
-    verify_arrays,
-    write_npz,
-)
+from repro.durability.integrity import load_newest, read_npz, write_npz
 from repro.hashing.pairs import index_to_pair, num_pairs, pair_to_index
-from repro.sketch.serialization import (
-    mmap_npz_array,
-    sketch_from_arrays,
-    sketch_to_arrays,
-)
+from repro.sketch.serialization import sketch_from_arrays, sketch_to_arrays
 from repro.sketch.topk import scan_top_keys
 
 __all__ = ["SketchSnapshot", "CheckpointManager"]
-
-logger = logging.getLogger(__name__)
 
 #: Process-wide monotonically increasing snapshot identity.  Readers use it
 #: to tell "which snapshot answered me" apart across atomic swaps.
@@ -471,12 +456,7 @@ class SketchSnapshot:
 
     @classmethod
     def load(
-        cls,
-        path,
-        *,
-        mmap: bool = False,
-        verify: bool = True,
-        verify_tables: bool | None = None,
+        cls, path, *, mmap: bool = False, verify_tables: bool = False
     ) -> "SketchSnapshot":
         """Restore a snapshot written by :meth:`save`.
 
@@ -486,63 +466,32 @@ class SketchSnapshot:
         loaded snapshot gets a fresh ``snapshot_id`` (identity is
         per-process).
 
-        Integrity: every member is checked against the CRCs recorded at
-        save time (``verify=False`` opts out; files predating the
-        integrity layer load unverified).  A mismatch raises
+        Integrity: every member read is checked against the CRCs recorded
+        at save time (:func:`repro.durability.integrity.read_npz`; files
+        predating the integrity layer load unverified).  A mismatch raises
         :class:`repro.durability.IntegrityError` naming the file, the
         member and the reason — a corrupted snapshot is never silently
-        served.  In the eager path ``verify_tables`` defaults to ``True``
-        (everything is read anyway); in the mmap path it defaults to
-        ``False`` — headers and the small members are verified at open,
-        and the bulk counter table keeps its O(headers) open cost — pass
-        ``verify_tables=True`` to page the mapped tables through CRC too.
+        served.
 
         With ``mmap=True`` the counter table — by far the bulk of a
         snapshot — is a read-only ``np.memmap`` of the archive member
         instead of a materialized copy: opening costs two header reads
         regardless of snapshot size, pages fault in on first query, and a
         :class:`CheckpointManager` hot-swap never holds two resident
-        copies of the counters.  Requires the default uncompressed save;
+        copies of the counters.  The mapped table is CRC-checked only with
+        ``verify_tables=True``.  Requires the default uncompressed save;
         writes through any path hit the read-only-mmap guard
         (:func:`repro.sketch.base.reject_readonly_counters`).
         """
-        if verify_tables is None:
-            verify_tables = not mmap
-        source = str(path)
-        with corruption_guard(source), np.load(path, allow_pickle=False) as data:
-            table_members = tuple(
-                name
-                for name in data.files
-                if name.startswith(_SKETCH_PREFIX)
-                and (
-                    name == _SKETCH_PREFIX + "table" or name.endswith("_table")
-                )
+        with read_npz(path, mmap=mmap, verify_tables=verify_tables) as data:
+            sketch = sketch_from_arrays(
+                {
+                    name[len(_SKETCH_PREFIX) :]: array
+                    for name, array in data.items()
+                    if name.startswith(_SKETCH_PREFIX)
+                },
+                copy=not mmap,
             )
-            if verify:
-                # mmap never reads tables through np.load (they verify via
-                # the mapped view below, when asked); the eager path skips
-                # them only on explicit verify_tables=False.
-                skip = table_members if (mmap or not verify_tables) else ()
-                verify_arrays(data, source=source, skip=skip)
-            # In the mmap path table contents are deliberately not read
-            # through np.load; mapped members verify below when asked.
-            crcs = recorded_crcs(data) if (verify and mmap and verify_tables) else {}
-            sketch_state = {}
-            for name in data.files:
-                if not name.startswith(_SKETCH_PREFIX):
-                    continue
-                key = name[len(_SKETCH_PREFIX) :]
-                if mmap and name in table_members:
-                    mapped = mmap_npz_array(path, name)
-                    if name in crcs and crc32_array(mapped) != crcs[name]:
-                        raise IntegrityError(
-                            f"{source}: member {name!r} failed its checksum — "
-                            "the mapped counter table was corrupted on disk"
-                        )
-                    sketch_state[key] = mapped
-                else:
-                    sketch_state[key] = data[name]
-            sketch = sketch_from_arrays(sketch_state, copy=not mmap)
             if hasattr(sketch, "freeze"):
                 sketch.freeze()
             return cls._assemble(
@@ -553,8 +502,8 @@ class SketchSnapshot:
                 samples_seen=int(data["samples_seen"]),
                 two_sided=bool(data["two_sided"]),
                 sketch=sketch,
-                keys=data["index_keys"].copy(),
-                estimates=data["index_estimates"].copy(),
+                keys=data["index_keys"],
+                estimates=data["index_estimates"],
                 index_exact=bool(data["index_exact"]),
             )
 
@@ -681,10 +630,11 @@ class CheckpointManager:
     def load_latest(self, *, mmap: bool = False) -> SketchSnapshot | None:
         """Load the newest *valid* checkpoint, or ``None`` when none loads.
 
-        Walks the history newest-first: a truncated, bit-flipped or
-        otherwise unreadable checkpoint is **quarantined** — renamed to
-        ``<name>.corrupt`` with the reason logged — and the walk falls
-        back to the next-newest file instead of crashing the serving
+        Walks the history newest-first
+        (:func:`repro.durability.integrity.load_newest`): a truncated,
+        bit-flipped or otherwise unreadable checkpoint is **quarantined** —
+        renamed to ``<name>.corrupt`` with the reason logged — and the walk
+        falls back to the next-newest file instead of crashing the serving
         process on one bad artifact.  (A crash mid-``save`` cannot produce
         a torn file — writes are atomic — but bit rot, partial copies and
         full disks can.)
@@ -694,18 +644,6 @@ class CheckpointManager:
         uses to roll to a new multi-GB checkpoint without ever holding two
         resident copies.
         """
-        for _, path in reversed(self._entries()):
-            try:
-                return SketchSnapshot.load(path, mmap=mmap)
-            except (IntegrityError, FileNotFoundError, OSError) as exc:
-                logger.warning(
-                    "quarantining corrupt checkpoint %s (%s); "
-                    "falling back to the previous one",
-                    path,
-                    exc,
-                )
-                try:
-                    os.replace(path, path.with_name(path.name + ".corrupt"))
-                except OSError:  # pragma: no cover - quarantine is best-effort
-                    logger.warning("could not quarantine %s", path)
-        return None
+        return load_newest(
+            self.checkpoints(), lambda path: SketchSnapshot.load(path, mmap=mmap)
+        )

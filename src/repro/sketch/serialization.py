@@ -31,8 +31,9 @@ conformance-tested) by registering once.
 Decoders accept ``copy=False`` to **adopt** the provided counter table
 without copying — the zero-copy mmap path: hand them a read-only
 ``np.memmap`` of an uncompressed ``.npz`` member
-(:func:`mmap_npz_array`) and the rebuilt sketch serves queries straight
-from the page cache, with writes rejected by the frozen-table guard.
+(:func:`repro.durability.integrity.read_npz` with ``mmap=True``) and the
+rebuilt sketch serves queries straight from the page cache, with writes
+rejected by the frozen-table guard.
 
 ``ColdFilterSketch`` is deliberately unsupported: its conservative-update
 gate is order-dependent state that cannot be reconstructed faithfully from
@@ -41,20 +42,12 @@ counters alone (the same reason it refuses to merge).
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.durability.integrity import (
-    IntegrityError,
-    corruption_guard,
-    crc32_array,
-    recorded_crcs,
-    verify_arrays,
-    write_npz,
-)
+from repro.durability.integrity import read_npz, write_npz
 from repro.sketch.augmented import AugmentedSketch
 from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch
@@ -69,7 +62,6 @@ __all__ = [
     "register_kind",
     "supported_kinds",
     "kind_registry",
-    "mmap_npz_array",
     "SUPPORTED_KINDS",
     "KindSpec",
 ]
@@ -380,8 +372,8 @@ def _hierarchical_to_arrays(sketch: HierarchicalCountSketch) -> dict:
         ),
     }
     # Per-level members (not one stacked array): quantized levels widen
-    # independently, and the "_table" suffix enrols each one in the mmap /
-    # CRC-skip machinery of load_sketch and the serving snapshot loader.
+    # independently, and the "_table" suffix enrols each one in read_npz's
+    # mmap / CRC-skip path.
     for index, level in enumerate(sketch._levels):
         out[f"level{index}_table"] = level.table
     return out
@@ -495,118 +487,28 @@ def save_sketch(sketch, path, *, compress: bool = True) -> None:
     write_npz(path, sketch_to_arrays(sketch), compress=compress)
 
 
-def load_sketch(
-    path,
-    *,
-    mmap: bool = False,
-    verify: bool = True,
-    verify_tables: bool | None = None,
-):
+def load_sketch(path, *, mmap: bool = False, verify_tables: bool = False):
     """Restore a sketch written by :func:`save_sketch`.
 
-    Integrity (``verify=True``, the default): members are checked against
-    the CRCs recorded at save time; any corruption — torn tail, flipped
-    bit, injected member — raises
+    Integrity: members are checked against the CRCs recorded at save time
+    (:func:`repro.durability.integrity.read_npz`); any corruption — torn
+    tail, flipped bit, injected member — raises
     :class:`repro.durability.IntegrityError` naming the file and the
     reason.  Files written before the integrity layer load unverified.
-    ``verify_tables`` defaults to ``True`` on the eager path (everything
-    is read anyway) and ``False`` on the mmap path, preserving its
-    O(headers) open cost; pass ``verify_tables=True`` there to CRC-check
-    the mapped counter table too (pages fault in once, no heap copy).
 
     With ``mmap=True`` the counter table is a read-only ``np.memmap`` of
     the (uncompressed) archive member instead of a materialized copy:
     opening is O(metadata) regardless of table size, pages fault in on
     demand, and the frozen-table guard rejects any write path.  Requires
-    the file to have been saved with ``compress=False``.
+    the file to have been saved with ``compress=False``.  The mapped table
+    is CRC-checked only with ``verify_tables=True`` (pages fault in once,
+    no heap copy), which keeps the default open O(headers).
     """
-    if verify_tables is None:
-        verify_tables = not mmap
-    source = str(path)
-    with corruption_guard(source), np.load(path, allow_pickle=False) as data:
-        table_members = tuple(
-            name
-            for name in data.files
-            if name == "table" or name.endswith("_table")
-        )
-        if verify:
-            skip = table_members if (mmap or not verify_tables) else ()
-            verify_arrays(data, source=source, skip=skip)
-        if not mmap:
-            return sketch_from_arrays(data)
-        crcs = recorded_crcs(data) if (verify and verify_tables) else {}
-        state: dict[str, np.ndarray] = {}
-        for name in data.files:
-            if name in table_members:
-                mapped = mmap_npz_array(path, name)
-                if name in crcs and crc32_array(mapped) != crcs[name]:
-                    raise IntegrityError(
-                        f"{source}: member {name!r} failed its checksum — "
-                        "the mapped counter table was corrupted on disk"
-                    )
-                state[name] = mapped
-            else:
-                state[name] = data[name]
-        sketch = sketch_from_arrays(state, copy=False)
-        # A mapped sketch is read-only by construction; freeze the whole
-        # state so non-table side structures (an ASketch's exact filter)
-        # reject writes too instead of half-mutating.
-        if hasattr(sketch, "freeze"):
-            sketch.freeze()
-        return sketch
-
-
-def mmap_npz_array(path, member: str) -> np.ndarray:
-    """Zero-copy read-only ``np.memmap`` of one array inside a ``.npz``.
-
-    A ``.npz`` is a zip of ``.npy`` members; when the member is *stored*
-    (``np.savez``, not ``np.savez_compressed``) its bytes sit contiguously
-    in the archive, so the array can be mapped directly: locate the
-    member's data offset from its zip local header, parse the ``.npy``
-    header there, and map the payload.  This is what makes snapshot "load"
-    latency independent of snapshot size — nothing is read eagerly beyond
-    two headers.
-    """
-    if not member.endswith(".npy"):
-        member = member + ".npy"
-    with zipfile.ZipFile(path) as archive:
-        try:
-            info = archive.getinfo(member)
-        except KeyError:
-            raise KeyError(
-                f"{path} has no member {member!r}; members: "
-                f"{', '.join(archive.namelist())}"
-            ) from None
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(
-                f"cannot mmap {member!r} in {path}: the archive is "
-                "compressed; re-save with compress=False for zero-copy "
-                "loading"
-            )
-        header_offset = info.header_offset
-    with open(path, "rb") as handle:
-        handle.seek(header_offset)
-        local_header = handle.read(30)
-        if local_header[:4] != b"PK\x03\x04":
-            raise ValueError(f"corrupt zip local header in {path}")
-        name_len = int.from_bytes(local_header[26:28], "little")
-        extra_len = int.from_bytes(local_header[28:30], "little")
-        handle.seek(header_offset + 30 + name_len + extra_len)
-        version = np.lib.format.read_magic(handle)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-        else:  # pragma: no cover - numpy only writes 1.0/2.0 today
-            shape, fortran, dtype = np.lib.format._read_array_header(
-                handle, version
-            )
-        data_offset = handle.tell()
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=data_offset,
-        shape=shape,
-        order="F" if fortran else "C",
-    )
+    with read_npz(path, mmap=mmap, verify_tables=verify_tables) as data:
+        sketch = sketch_from_arrays(data, copy=not mmap)
+    # A mapped sketch is read-only by construction; freeze the whole state
+    # so non-table side structures (an ASketch's exact filter) reject
+    # writes too instead of half-mutating.
+    if mmap and hasattr(sketch, "freeze"):
+        sketch.freeze()
+    return sketch

@@ -43,11 +43,11 @@ from repro.distributed.shard import (
     ShardResult,
     ShardSpec,
     extract_shard_result,
-    load_shard_result,
     restore_sketcher,
     save_shard_result,
+    shard_result_from_arrays,
 )
-from repro.durability.integrity import verify_arrays, write_npz
+from repro.durability.integrity import read_npz, write_npz
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 
 __all__ = ["PaneRing"]
@@ -518,21 +518,21 @@ class PaneRing:
         persisted value).
         """
         directory = Path(directory)
-        with np.load(directory / _MANIFEST, allow_pickle=False) as manifest:
-            verify_arrays(manifest, source=str(directory / _MANIFEST))
+        with read_npz(directory / _MANIFEST) as manifest:
             num_panes = int(manifest["num_panes"])
             pane_samples = int(manifest["pane_samples"])
             open_seq = int(manifest["open_seq"])
             closed_seqs = manifest["closed_seqs"].astype(np.int64).tolist()
             samples_seen = int(manifest["samples_seen"])
             rotations = int(manifest["rotations"])
-            retain_raw = (
-                bool(int(manifest["retain_raw"]))
-                if "retain_raw" in manifest
-                else False
-            )
-        open_path = directory / f"pane-{open_seq:08d}.npz"
-        open_result = load_shard_result(open_path)
+            retain_raw = bool(int(manifest.get("retain_raw", 0)))
+
+        def pane(seq) -> tuple[ShardResult, list[list] | None]:
+            with read_npz(directory / f"pane-{seq:08d}.npz") as data:
+                raw = _unpack_raw(data) if retain_raw else None
+                return shard_result_from_arrays(data), raw
+
+        open_result, open_raw = pane(open_seq)
         ring = cls(
             open_result.spec,
             num_panes=num_panes,
@@ -540,18 +540,13 @@ class PaneRing:
             registry=registry,
             retain_raw=retain_raw,
         )
-
-        def pane_raw(path) -> list[list]:
-            with np.load(path, allow_pickle=False) as data:
-                return _unpack_raw(data)
-
         for seq in closed_seqs:
-            pane_path = directory / f"pane-{seq:08d}.npz"
-            ring._closed.append(load_shard_result(pane_path))
+            result, raw = pane(seq)
+            ring._closed.append(result)
             if retain_raw:
-                ring._closed_raw.append(pane_raw(pane_path))
+                ring._closed_raw.append(raw)
         if retain_raw:
-            ring._open_raw = pane_raw(open_path)
+            ring._open_raw = open_raw
         ring._open = restore_sketcher(open_result)
         ring._open_start = open_result.start
         ring._pane_seq = open_seq

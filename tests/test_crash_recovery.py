@@ -18,7 +18,9 @@ hand-truncated snapshot files.
 """
 
 import hashlib
+import struct
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,13 @@ from hypothesis import strategies as st
 
 from repro.covariance import InvalidBatchError
 from repro.distributed import ShardSpec
-from repro.distributed.shard import extract_shard_result, spec_with
+from repro.distributed.shard import (
+    extract_shard_result,
+    load_shard_result,
+    save_shard_result,
+    sketch_shard,
+    spec_with,
+)
 from repro.durability import (
     DurableSketcher,
     IngestJournal,
@@ -480,6 +488,64 @@ class TestDurableCheckpoints:
         recovered.close()
         _assert_bit_identical(recovered, reference, spec)
 
+    def test_damaged_checkpoint_does_not_fail_a_later_ingest(self, tmp_path):
+        """Pruning must not re-read a checkpoint this process wrote: one
+        damaged on disk since would fail the ingest that triggers the next
+        checkpoint after its batch was applied."""
+        spec = SPECS["float64"]
+        batches = _batches(spec, num_batches=6)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=2)
+        for batch in batches[:4]:
+            durable.fit_sparse(batch)
+        truncate_file(sorted(tmp_path.glob("ckpt-*.npz"))[-1], fraction=0.5)
+        for batch in batches[4:]:
+            durable.fit_sparse(batch)
+        assert durable.samples_seen == 4 * len(batches)
+        durable.close()
+
+    def test_damaged_checkpoint_does_not_fail_a_later_http_ingest(self, tmp_path):
+        from repro.serving import ServingEstimator
+        from repro.serving.http import ServingClient, serve_in_background
+
+        spec = SPECS["float64"]
+        batches = _batches(spec, num_batches=6)
+        serving = ServingEstimator.durable(
+            tmp_path, spec, durable_options={"checkpoint_every": 2}
+        )
+        server, _thread = serve_in_background(serving)
+        try:
+            client = ServingClient(server.url, retries=0)
+            for batch in batches[:4]:
+                client.ingest(batch)
+            truncate_file(sorted(tmp_path.glob("ckpt-*.npz"))[-1], fraction=0.5)
+            for batch in batches[4:]:
+                assert client.ingest(batch)["ingested"] == len(batch)
+            assert client.stats()["write_samples_seen"] == 4 * len(batches)
+        finally:
+            server.stop(timeout=5.0)
+            serving.sketcher.close()
+
+    def test_unreadable_oldest_checkpoint_keeps_the_journal(self, tmp_path, caplog):
+        """A kept checkpoint this process never read is read back for its
+        WAL position; when that fails, the journal stays whole."""
+        spec = SPECS["float64"]
+        batches = _batches(spec, num_batches=8)
+        options = dict(checkpoint_every=2, keep_checkpoints=3, rotate_every=1)
+        durable = DurableSketcher(tmp_path, spec, **options)
+        for batch in batches[:6]:
+            durable.fit_sparse(batch)
+        durable.close()
+        reopened = DurableSketcher(tmp_path, **options)
+        assert reopened.recovered_from == 2
+        truncate_file(tmp_path / "ckpt-00000001.npz", fraction=0.5)
+        segments = set(tmp_path.glob("wal-*.wal"))
+        with caplog.at_level("WARNING"):
+            for batch in batches[6:]:
+                reopened.fit_sparse(batch)
+        reopened.close()
+        assert "keeping the journal whole" in caplog.text
+        assert segments <= set(tmp_path.glob("wal-*.wal"))
+
     def test_recover_classmethod_requires_recipe(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             DurableSketcher.recover(tmp_path / "nowhere")
@@ -692,6 +758,111 @@ class TestCheckpointManagerWalkBack:
         for path in manager.checkpoints():
             truncate_file(path, fraction=0.3)
         assert manager.load_latest() is None
+
+
+# ----------------------------------------------------------------------
+# Every loader reports a damaged archive as an IntegrityError
+# ----------------------------------------------------------------------
+def _stream_samples(spec):
+    return [sample for batch in _batches(spec, num_batches=4) for sample in batch]
+
+
+def _sketch_file(tmp_path):
+    from repro.sketch.count_sketch import CountSketch
+    from repro.sketch.serialization import load_sketch, save_sketch
+
+    sketch = CountSketch(3, 256, seed=3)
+    sketch.insert(np.arange(600), np.arange(600, dtype=np.float64))
+    path = tmp_path / "sketch.npz"
+    save_sketch(sketch, path)
+    return path, lambda: load_sketch(path)
+
+
+def _snapshot_file(tmp_path, **load_options):
+    from repro.serving import SketchSnapshot
+
+    sketcher = SPECS["float64"].build_sketcher()
+    sketcher.fit_sparse(iter(_stream_samples(SPECS["float64"])))
+    path = SketchSnapshot.from_sketcher(sketcher, top_index=16).save(
+        tmp_path / "snapshot.npz"
+    )
+    return path, lambda: SketchSnapshot.load(path, **load_options)
+
+
+def _shard_file(tmp_path):
+    spec = SPECS["float64"]
+    path = tmp_path / "shard.npz"
+    save_shard_result(sketch_shard(spec, _stream_samples(spec)), path)
+    return path, lambda: load_shard_result(path)
+
+
+def _recipe_file(tmp_path):
+    DurableSketcher(tmp_path, SPECS["float64"]).close()
+    return tmp_path / "spec.npz", lambda: DurableSketcher(tmp_path)
+
+
+def _ring_file(pick):
+    def build(tmp_path):
+        from repro.streaming import PaneRing
+
+        spec = spec_with(SPECS["float64"], batch_size=4)
+        ring = PaneRing(spec, num_panes=3, pane_samples=8, retain_raw=True)
+        for batch in _batches(spec, num_batches=6):
+            ring.fit_sparse(batch)
+        directory = tmp_path / "ring"
+        ring.save(directory)
+        return pick(directory), lambda: PaneRing.load(directory)
+
+    return build
+
+
+#: loader -> ``build(tmp_path) -> (file it reads, load())``.
+LOADERS = {
+    "load_sketch": _sketch_file,
+    "snapshot": _snapshot_file,
+    "snapshot-mmap": lambda tmp: _snapshot_file(tmp, mmap=True),
+    "snapshot-mmap-verify-tables": lambda tmp: _snapshot_file(
+        tmp, mmap=True, verify_tables=True
+    ),
+    "shard_result": _shard_file,
+    "durable-recipe": _recipe_file,
+    "ring-manifest": _ring_file(lambda directory: directory / "ring.npz"),
+    "ring-pane": _ring_file(lambda directory: sorted(directory.glob("pane-*"))[0]),
+}
+
+
+def _flip_largest_member(path):
+    """Flip one bit mid-way through the stored bytes of the archive's
+    largest member (past its zip local header, which a read may ignore)."""
+    with zipfile.ZipFile(path) as archive:
+        info = max(archive.infolist(), key=lambda member: member.compress_size)
+    with open(path, "rb") as handle:
+        handle.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", handle.read(4))
+    start = info.header_offset + 30 + name_len + extra_len
+    flip_byte(path, offset=start + info.compress_size // 2)
+
+
+class TestEveryLoaderReportsCorruption:
+    """A truncated or bit-flipped archive is an IntegrityError naming the
+    file, whichever loader reads it — never a zipfile/zlib internal error.
+    The flip runs only where the read covers the flipped member: eager
+    loads, and mmap loads that verify their tables."""
+
+    @pytest.mark.parametrize(
+        "loader, damage",
+        [(name, "truncate") for name in LOADERS]
+        + [(name, "flip") for name in LOADERS if name != "snapshot-mmap"],
+    )
+    def test_damaged_archive_raises_integrity_error(self, loader, damage, tmp_path):
+        path, load = LOADERS[loader](tmp_path)
+        if damage == "truncate":
+            truncate_file(path, fraction=0.5)
+        else:
+            _flip_largest_member(path)
+        with pytest.raises(IntegrityError) as excinfo:
+            load()
+        assert str(path) in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------

@@ -64,10 +64,11 @@ def _get(server, path: str) -> dict:
 
 def _status(server, path: str) -> int:
     try:
-        urllib.request.urlopen(f"{server.url}{path}")
+        with urllib.request.urlopen(f"{server.url}{path}") as response:
+            return response.status
     except urllib.error.HTTPError as err:
-        return err.code
-    return 200
+        with err:
+            return err.code
 
 
 class TestSnapshotValidation:

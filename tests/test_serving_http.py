@@ -152,18 +152,21 @@ class TestErrorsAndReadOnlyTargets:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/pair?i=5&j=5")
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_missing_param_is_400(self, serving_server):
         _, server, _ = serving_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/pair?i=5")
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_unknown_route_is_404(self, serving_server):
         _, server, _ = serving_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/nope")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_malformed_samples_is_json_error_not_hangup(self, serving_server):
         _, server, _ = serving_server
@@ -177,6 +180,7 @@ class TestErrorsAndReadOnlyTargets:
             urllib.request.urlopen(request)
         assert excinfo.value.code in (400, 500)
         assert "error" in json.loads(excinfo.value.read())
+        excinfo.value.close()
 
     def test_ingest_index_past_dim_is_400(self, rng):
         """A sample index >= dim is the client's mistake in either value
@@ -195,6 +199,7 @@ class TestErrorsAndReadOnlyTargets:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 400
+            excinfo.value.close()
             assert sketcher.sparse_moments.count == 0
         finally:
             server.shutdown()
@@ -248,6 +253,7 @@ class TestErrorsAndReadOnlyTargets:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 400
+            excinfo.value.close()
             assert write_side() == before
             assert before["write_samples_seen"] == 8
             np.testing.assert_array_equal(estimator.sketch.table, table)
@@ -266,6 +272,7 @@ class TestErrorsAndReadOnlyTargets:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     @pytest.mark.parametrize("bad", [2**70, 1.5])
     @pytest.mark.parametrize("field", ["keys", "i"])
@@ -283,6 +290,7 @@ class TestErrorsAndReadOnlyTargets:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
         assert "int64" in json.loads(excinfo.value.read())["error"]
+        excinfo.value.close()
 
     def test_bad_json_body_is_400(self, serving_server):
         _, server, _ = serving_server
@@ -293,6 +301,7 @@ class TestErrorsAndReadOnlyTargets:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
         assert "error" in json.loads(excinfo.value.read())
+        excinfo.value.close()
 
     def test_snapshot_target_serves_reads_but_rejects_writes(self, rng):
         serving = _make_serving(rng)
@@ -308,6 +317,7 @@ class TestErrorsAndReadOnlyTargets:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 client.refresh()
             assert excinfo.value.code == 405
+            excinfo.value.close()
         finally:
             server.shutdown()
             server.server_close()
@@ -537,8 +547,9 @@ class TestObservabilityEndpoints:
         _, server, client = serving_server
         client.pair(0, 1)
         client.pair(0, 2)
-        with pytest.raises(urllib.error.HTTPError):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.url}/nope")
+        excinfo.value.close()
         http = client.stats()["http"]
         assert http["requests"]["GET /pair"]["200"] >= 2
         # Unknown paths pool under "other" so junk cannot explode cardinality.
@@ -584,6 +595,7 @@ class TestObservabilityEndpoints:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(f"{server.url}/pair?i=0&j=1")
                 assert excinfo.value.code == 503
+                excinfo.value.close()
             finally:
                 server._release()
             assert server.rejected_requests == 1

@@ -434,6 +434,7 @@ class TestClientRetries:
             client.ingest(_make_samples(2, rng))  # write: no retry
         assert excinfo.value.code == 503
         assert excinfo.value.headers.get("Retry-After") is not None
+        excinfo.value.close()
 
 
 class TestServerDegradation:
@@ -456,6 +457,7 @@ class TestServerDegradation:
                 client.ingest(_make_samples(2, rng))
             assert excinfo.value.code == 503
             assert int(excinfo.value.headers["Retry-After"]) >= 1
+            excinfo.value.close()
             health = client.health()
             assert health["status"] == "degraded"
             assert health["breaker"] == "open"
@@ -475,6 +477,7 @@ class TestServerDegradation:
                 client.stats()
             assert excinfo.value.code == 503
             assert excinfo.value.headers["Retry-After"] == "3"
+            excinfo.value.close()
             # /health bypasses admission: probes answer under overload,
             # and report the shed requests.
             health = client.health()
@@ -498,6 +501,7 @@ class TestServerDegradation:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 client.refresh()  # explicit refresh: the caller hears it
             assert excinfo.value.code == 500
+            excinfo.value.close()
             health = client.health()
             assert health["status"] == "degraded"
             assert "hung table scan" in health["last_refresh_error"]

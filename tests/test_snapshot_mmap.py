@@ -12,9 +12,10 @@ import pytest
 
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.core.estimator import SketchEstimator
+from repro.durability.integrity import mmap_npz_array
 from repro.serving.snapshot import CheckpointManager, SketchSnapshot
 from repro.sketch.count_sketch import CountSketch
-from repro.sketch.serialization import load_sketch, mmap_npz_array, save_sketch
+from repro.sketch.serialization import load_sketch, save_sketch
 
 
 def _fitted_sketcher(seed=2, dim=40, n=96, dtype="float64", quantum=None):
