@@ -3,9 +3,10 @@
 Measures the kernels that PR 1 fused — multi-table hashing, count-sketch
 insert/query, top-k tracking, and sparse pair expansion — against the
 per-table / per-sample reference implementations preserved in
-:mod:`repro.reference`, plus the end-to-end sparse covariance pipeline
-and the sweep that measures where ``fit_sparse`` should stop expanding
-pairs and take one GEMM per batch (``route`` records).
+:mod:`repro.reference`, plus the end-to-end sparse covariance pipeline,
+the sweep that measures where ``fit_sparse`` should stop expanding
+pairs and take one GEMM per batch (``route`` records), and ASCS's staged
+gate against query plus compare (``gate`` records).
 
 Run directly (full workloads, writes ``BENCH_kernels.json`` at the repo
 root)::
@@ -46,6 +47,7 @@ from repro.reference import (
     legacy_sparse_batch_pairs,
 )
 from repro.sketch.count_min import CountMinSketch
+from repro.sketch.base import ValueSketch
 from repro.sketch.count_sketch import CountSketch
 import repro.sketch.kernels as kernels
 from repro.sketch.kernels import available_backends, numba_version
@@ -424,6 +426,62 @@ def route_crossover(report: dict) -> float | None:
     return None
 
 
+#: Gate records: ``ingest_narrow``'s sketch and gate batch (K = 5,
+#: R = 2^15, ~29k pair keys per 32-row batch) at shares of keys still in
+#: doubt after the gate's first stage: its passes run from ~85% on the
+#: first batch after exploration down to ~4% in the steady state.
+GATE_TABLES = 5
+GATE_BUCKETS = 1 << 15
+GATE_BATCH = 29_000
+GATE_DOUBT = (0.01, 0.05, 0.30, 0.65)
+
+
+def bench_gate(results, *, trials, inner, rng):
+    """``CountSketch.gate`` against the default gate on one batch.
+
+    The table holds 400k random updates.  Per level, ``tau`` is the
+    quantile of the keys' first-stage maxima that leaves that share of
+    keys in doubt.  Each level times the default gate
+    (:meth:`repro.sketch.ValueSketch.gate`: query, then compare) and the
+    staged one, whose mask and estimates must equal the default's.
+    """
+    with _pinned_kernels("numpy"):  # the compiled leg keeps the default
+        sketch = CountSketch(GATE_TABLES, GATE_BUCKETS, seed=1)
+    sketch.insert(
+        rng.integers(0, 5 * 10**11, size=400_000), rng.standard_normal(400_000)
+    )
+    keys = rng.integers(0, 5 * 10**11, size=GATE_BATCH).astype(np.int64)
+    h = (GATE_TABLES + 1) // 2
+    top = sketch.query_per_table(keys)[:h].max(axis=0)
+    for doubt in GATE_DOUBT:
+        tau = float(np.quantile(top, 1.0 - doubt))
+        mask, estimates = ValueSketch.gate(sketch, keys, tau)
+        got_mask, got_estimates = sketch.gate(keys, tau)
+        query_s = _best_seconds(
+            lambda: None,
+            lambda _: ValueSketch.gate(sketch, keys, tau),
+            trials=trials,
+            inner=inner,
+        )
+        gate_s = _best_seconds(
+            lambda: None, lambda _: sketch.gate(keys, tau), trials=trials, inner=inner
+        )
+        results.append(
+            {
+                "op": "gate",
+                "batch": GATE_BATCH,
+                "doubt": float(np.mean(top >= tau)),
+                "accepted": float(mask.mean()),
+                "query_seconds": query_s,
+                "gate_seconds": gate_s,
+                "identical": bool(
+                    np.array_equal(got_mask, mask)
+                    and np.array_equal(got_estimates, estimates)
+                ),
+            }
+        )
+
+
 @contextmanager
 def _pinned_kernels(backend):
     """Make ``backend`` the kernels that sketches built inside will run.
@@ -556,6 +614,7 @@ def run_benchmarks(smoke: bool = False) -> dict:
         results, trials=max(2, trials // 2), rng=rng, num_samples=pipeline_samples
     )
     bench_route(results, trials=trials, nnz_grid=route_nnz)
+    bench_gate(results, trials=trials, inner=inner, rng=rng)
     bench_backends(results, batches=batches, trials=trials, inner=inner, rng=rng)
 
     def _speedup(op, batch=None):
@@ -609,6 +668,14 @@ def print_report(report: dict) -> None:
                 f"{rec['fused_seconds'] * 1e6:>10.1f}us"
                 f"{rec['speedup']:>8.2f}x"
             )
+        elif rec["op"] == "gate":
+            print(
+                f"{'gate doubt=' + format(rec['doubt'], '.2f'):<32}"
+                f"{rec['batch']:>8}"
+                f"{rec['query_seconds'] * 1e6:>10.1f}us"
+                f"{rec['gate_seconds'] * 1e6:>10.1f}us"
+                f"{rec['query_seconds'] / rec['gate_seconds']:>8.2f}x"
+            )
         elif rec["op"] == "route":
             print(
                 f"{'route overlap=' + format(rec['overlap'], '.3f'):<32}"
@@ -645,11 +712,12 @@ NUMBA_MIN_INSERT_SPEEDUP = 5.0
 #: of the same work differ by up to this much across runs on a shared host.
 ROUTE_NOISE = 1.5
 
-
 def _check(report: dict) -> list:
     """CI gate: no fused kernel may regress below parity with the
-    reference, and — when the report carries a numba leg — the compiled
-    insert path must actually pay for itself."""
+    reference, the staged ASCS gate must match query plus compare, and —
+    on a host with two or more CPUs — the gate must be no slower than
+    query plus compare at any level and, when the report carries a numba leg, the
+    compiled insert path must actually pay for itself."""
     problems = []
     regressions = [
         rec["op"]
@@ -658,6 +726,12 @@ def _check(report: dict) -> list:
     ]
     if regressions:
         problems.append("severe regressions: " + ", ".join(regressions))
+    gates = [rec for rec in report["results"] if rec["op"] == "gate"]
+    problems.extend(
+        f"gate at doubt {rec['doubt']:.2f} differs from query plus compare"
+        for rec in gates
+        if not rec["identical"]
+    )
     meta = report.get("meta", {})
     # Gate on the recorded host shape: the threshold is calibrated for a
     # real runner, not a starved single-vCPU container.
@@ -670,6 +744,12 @@ def _check(report: dict) -> list:
             )
     if int(meta.get("cpu_count", 1)) >= 2:
         problems.extend(_route_problems(report))
+        problems.extend(
+            f"gate at doubt {rec['doubt']:.2f} is "
+            f"{rec['gate_seconds'] / rec['query_seconds']:.2f}x query plus compare"
+            for rec in gates
+            if rec["gate_seconds"] > rec["query_seconds"]
+        )
     return problems
 
 

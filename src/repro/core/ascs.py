@@ -130,13 +130,11 @@ class ActiveSamplingCountSketch(SketchEstimator):
             return None, None
         # Algorithm 2 line 10-11: gate on the estimate as of the *previous*
         # step; with batching, samples_seen is exactly the pre-batch t-1.
-        # The estimates are returned so ingest's tracker refresh can reuse
-        # them instead of querying the same buckets a second time.
+        # The accepted keys' estimates are returned so ingest's tracker
+        # refresh can reuse them instead of querying the same buckets a
+        # second time.
         tau = self.schedule.threshold(self.samples_seen)
-        estimates = self.sketch.query(keys)
-        if self.two_sided:
-            return np.abs(estimates) >= tau, estimates
-        return estimates >= tau, estimates
+        return self.sketch.gate(keys, tau, two_sided=self.two_sided)
 
     # ------------------------------------------------------------------
     # Introspection

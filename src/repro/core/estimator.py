@@ -96,8 +96,8 @@ class SketchEstimator:
         """``(mask, estimates)`` for a batch; a ``None`` mask accepts everything.
 
         Subclasses (ASCS) override this with the active-sampling rule and
-        return the sketch estimates the rule already computed, so the
-        tracker refresh below does not re-gather the same buckets.
+        return the accepted keys' estimates the rule already computed, so
+        the tracker refresh below does not re-gather the same buckets.
         """
         return None, None
 
@@ -116,10 +116,8 @@ class SketchEstimator:
         mask, gate_estimates = self._accept(keys, values)
         if mask is None:
             accepted_keys, accepted_values = keys, values
-            mask_out = np.ones(keys.size, dtype=bool)
         else:
             accepted_keys, accepted_values = keys[mask], values[mask]
-            mask_out = mask
         scaled = accepted_values / self.total_samples
         track = self.tracker is not None and accepted_keys.size > 0
         if track and gate_estimates is None and hasattr(self.sketch, "insert_and_query"):
@@ -137,16 +135,18 @@ class SketchEstimator:
                 # decisions near the pool boundary — an accepted trade for
                 # halving the gate's query cost; the final top_k re-queries
                 # the finished sketch either way.
-                estimates = gate_estimates[mask]
+                estimates = gate_estimates
             else:
                 estimates = self.sketch.query(accepted_keys)
         self.samples_seen += int(num_samples)
         self.updates_examined += keys.size
-        self.updates_accepted += int(mask_out.sum())
+        self.updates_accepted += accepted_keys.size
         if track:
             self.tracker.offer(accepted_keys, estimates)
         if self.observer is not None:
-            self.observer(self.samples_seen, keys, values, mask_out)
+            if mask is None:
+                mask = np.ones(keys.size, dtype=bool)
+            self.observer(self.samples_seen, keys, values, mask)
 
     def estimate(self, keys) -> np.ndarray:
         """Current mean estimates for the given keys."""

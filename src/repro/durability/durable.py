@@ -104,11 +104,12 @@ class DurableSketcher:
         Auto-checkpoint after this many journalled ingest calls
         (``0`` disables — call :meth:`checkpoint` manually).  Default 64.
     keep_checkpoints:
-        Checkpoints retained before pruning (older WAL segments fully
-        covered by the *oldest retained* checkpoint are pruned with them,
-        which is why the default keeps 2: the newest checkpoint can be
-        lost to corruption and recovery still has the journal suffix the
-        previous one needs).
+        Intact checkpoints retained before pruning (older WAL segments
+        fully covered by the *oldest retained* checkpoint are pruned with
+        them, which is why the default keeps 2: the newest checkpoint can
+        be lost to corruption and recovery still has the journal suffix
+        the previous one needs).  One damaged on disk is quarantined and
+        does not count.
     fsync, rotate_every, open_fn:
         Passed to :class:`~repro.durability.journal.IngestJournal`
         (``open_fn`` is the fault-injection hook).
@@ -154,7 +155,13 @@ class DurableSketcher:
             "repro_wal_refused_records_total",
             "WAL records set aside during recovery: they fail the batch checks",
         )
+        self._ckpt_failed_total = self.registry.counter(
+            "repro_ckpt_failures_total",
+            "cadence checkpoints that failed to persist; the batch that "
+            "triggered one stands and the next batch retries it",
+        )
         self.refused_records = 0
+        self.checkpoint_failures = 0
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         recipe_path = self.directory / _RECIPE
@@ -202,9 +209,13 @@ class DurableSketcher:
         self._inner = inner
         self.checkpoint_seq = ckpt_seq
         self.recovered_from = ckpt_id
-        #: ``wal_seq`` of each checkpoint this process wrote or recovered
-        #: from, so pruning need not re-read (possibly damaged) files.
-        self._ckpt_seqs = {} if ckpt_id is None else {ckpt_id: ckpt_seq}
+        #: ``(wal_seq, file signature)`` of each checkpoint this process
+        #: wrote, recovered from or verified, so pruning re-reads a file
+        #: only when it no longer looks as it did then (see _intact).
+        self._ckpt_written = {}
+        if ckpt_id is not None:
+            path = self.directory / f"ckpt-{ckpt_id:08d}.npz"
+            self._ckpt_written[ckpt_id] = (ckpt_seq, self._signature(path))
         self._next_ckpt = self._next_checkpoint_id()
         self.journal = IngestJournal(
             self.directory,
@@ -365,6 +376,8 @@ class DurableSketcher:
         never claims a WAL position the disk does not actually hold.  Old
         checkpoints beyond ``keep_checkpoints`` are pruned, along with the
         journal segments fully covered by the oldest retained checkpoint.
+        A write that fails raises here; the cadence checkpoint inside
+        :meth:`fit_sparse` logs it instead and retries at the next batch.
         """
         return self._commit(self._inner)
 
@@ -428,7 +441,7 @@ class DurableSketcher:
                 result = extract_shard_result(inner, self.spec)
                 save_shard_result(result, path, extra={"wal_seq": wal_seq})
             self._inner = inner
-            self._ckpt_seqs[ckpt_id] = wal_seq
+            self._ckpt_written[ckpt_id] = (wal_seq, self._signature(path))
             self._next_ckpt = ckpt_id + 1
             self.checkpoint_seq = wal_seq
             self._records_since_checkpoint = 0
@@ -437,44 +450,75 @@ class DurableSketcher:
         self._ckpt_bytes.set(path.stat().st_size)
         return path
 
-    def _prune(self) -> None:
-        """Drop checkpoints past ``keep_checkpoints`` and the journal
-        segments the oldest kept one covers.
+    def _signature(self, path: Path) -> tuple:
+        """``(name, size, mtime_ns)`` of each file of one checkpoint: the
+        ``.npz`` and, windowed, the files of its ring."""
+        files = [path]
+        ring = path.with_suffix(".ring")
+        if self.windowed and ring.is_dir():
+            files += sorted(ring.iterdir())
+        signature = []
+        for f in files:
+            st = f.stat()
+            signature.append((f.name, st.st_size, st.st_mtime_ns))
+        return tuple(signature)
 
-        That checkpoint's ``wal_seq`` is remembered when this process
-        wrote or recovered from it; otherwise it is read back.  When that
-        read fails the journal is kept whole this round, with a warning:
-        a damaged file on disk must not fail the ingest that triggered
-        the checkpoint.
+    def _intact(self, ckpt_id: int, path: Path) -> int | None:
+        """The ``wal_seq`` of a checkpoint that still matches what was
+        written, or ``None`` after quarantining a damaged one.
+
+        A checkpoint whose files have the sizes and mtimes recorded when it
+        was written (or recovered from) is trusted as is, so damage in
+        place that keeps both goes unseen here.  Any other is read back
+        through :func:`read_npz`, every file of it; one that fails is set
+        aside as recovery would set it aside.
         """
-        entries = self._checkpoints()
-        for ckpt_id, path in entries[: -self.keep_checkpoints]:
+        known = self._ckpt_written.get(ckpt_id)
+        try:
+            signature = self._signature(path)
+            if known is not None and known[1] == signature:
+                return known[0]
+            with read_npz(path) as data:
+                wal_seq = int(data["wal_seq"])
+            for name, _, _ in signature[1:]:
+                with read_npz(path.with_suffix(".ring") / name):
+                    pass
+        except (IntegrityError, OSError) as exc:
+            self._ckpt_written.pop(ckpt_id, None)
+            quarantine(path, exc, path.with_suffix(".ring"))
+            return None
+        self._ckpt_written[ckpt_id] = (wal_seq, signature)
+        return wal_seq
+
+    def _prune(self) -> None:
+        """Keep the newest ``keep_checkpoints`` intact checkpoints; drop
+        the older ones and the journal segments the oldest kept one covers.
+
+        Only a checkpoint that still matches what was written counts
+        toward ``keep_checkpoints`` (see :meth:`_intact`): one truncated,
+        rewritten or replaced on disk after it was written is quarantined
+        instead, so such damage never makes retention delete the last good
+        checkpoint or prune the journal through one recovery could not
+        load.  Damage that keeps every file's size and mtime (bit rot in
+        place, a filesystem with coarse mtimes) is not seen here; recovery
+        still quarantines such a checkpoint when it reads it.
+        """
+        kept = []
+        for ckpt_id, path in reversed(self._checkpoints()):
+            if len(kept) < self.keep_checkpoints:
+                wal_seq = self._intact(ckpt_id, path)
+                if wal_seq is not None:
+                    kept.append(wal_seq)
+                continue
+            self._ckpt_written.pop(ckpt_id, None)
             path.unlink(missing_ok=True)
-            self._ckpt_seqs.pop(ckpt_id, None)
             ring = path.with_suffix(".ring")
             if ring.exists():
                 for pane in ring.iterdir():
                     pane.unlink()
                 ring.rmdir()
-        if not entries:
-            return
-        oldest_id, oldest = entries[-self.keep_checkpoints :][0]
-        covered = self._ckpt_seqs.get(oldest_id)
-        if covered is None:
-            try:
-                with read_npz(oldest) as data:
-                    covered = int(data["wal_seq"])
-            except (IntegrityError, OSError) as exc:
-                logger.warning(
-                    "keeping the journal whole: cannot read the WAL "
-                    "position of checkpoint %s: %s",
-                    oldest,
-                    exc,
-                )
-                return
-            self._ckpt_seqs[oldest_id] = covered
-        if covered >= 0:
-            self.journal.prune_through(covered)
+        if kept and kept[-1] >= 0:
+            self.journal.prune_through(kept[-1])
 
     # ------------------------------------------------------------------
     # Replay
@@ -565,7 +609,21 @@ class DurableSketcher:
         if self.checkpoint_every and (
             self._records_since_checkpoint >= self.checkpoint_every
         ):
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except OSError as exc:
+                # The batch is journalled and applied: it stands, and a
+                # client that saw an error would send it again.  The
+                # journal still holds everything since the last good
+                # checkpoint, and the next batch retries this one.
+                self.checkpoint_failures += 1
+                self._ckpt_failed_total.inc()
+                logger.warning(
+                    "checkpoint of %s failed; the batch stands and the next "
+                    "batch retries it: %s",
+                    self.directory,
+                    exc,
+                )
         return self
 
     def fit_dense(self, batch) -> "DurableSketcher":
@@ -620,6 +678,7 @@ class DurableSketcher:
             "wal_lag": self.wal_lag,
             "replayed_records": self.replayed_records,
             "refused_records": self.refused_records,
+            "checkpoint_failures": self.checkpoint_failures,
             "recovered_from": self.recovered_from,
             "journal": self.journal.stats(),
         }

@@ -21,6 +21,7 @@ picklable, so sketches can be serialised and merged across processes.
 from __future__ import annotations
 
 import abc
+import copy
 
 import numpy as np
 
@@ -215,8 +216,24 @@ class SignHash:
 # counterpart, so the results are bit-identical for the same seeds.
 
 
-class _StackedMultiplyShift:
+class _Stacked:
+    """Row-stacked per-table parameters: row ``e`` hashes table ``e``."""
+
+    #: Attributes holding one leading-axis row per table.
+    _PARAMS: tuple[str, ...] = ()
+
+    def select(self, rows: np.ndarray) -> "_Stacked":
+        """The same hashes restricted to (and ordered as) ``rows``."""
+        sub = copy.copy(self)
+        for name in self._PARAMS:
+            setattr(sub, name, getattr(self, name)[rows])
+        return sub
+
+
+class _StackedMultiplyShift(_Stacked):
     """``(K, n)`` multiply-shift hashing from stacked ``a``/``b`` columns."""
+
+    _PARAMS = ("_a", "_b")
 
     def __init__(self, families: list[MultiplyShiftHash]):
         self._a = np.array([f._a for f in families], dtype=np.uint64)[:, None]
@@ -229,7 +246,7 @@ class _StackedMultiplyShift:
         return w
 
 
-class _StackedPolynomial:
+class _StackedPolynomial(_Stacked):
     """``(K, n)`` Mersenne-prime polynomial hashing from a ``(K, deg)``
     coefficient matrix (all tables must share the same degree).
 
@@ -241,6 +258,8 @@ class _StackedPolynomial:
 
     #: Columns per block; 2048 keeps a (K, block) mulmod working set in L2.
     BLOCK = 2048
+
+    _PARAMS = ("_coeffs",)
 
     def __init__(self, families: list[PolynomialHash]):
         degrees = {f.degree for f in families}
@@ -270,13 +289,15 @@ class _StackedPolynomial:
         return out
 
 
-class _StackedTabulation:
+class _StackedTabulation(_Stacked):
     """``(K, n)`` tabulation hashing from a ``(K, 8, 256)`` table stack.
 
     The per-byte chunk extraction is shared across tables (the legacy loop
     recomputed it ``K`` times); the lookups stay per-table 1-D gathers,
     which numpy executes much faster than one strided 2-D fancy index.
     """
+
+    _PARAMS = ("_tables",)
 
     def __init__(self, families: list[TabulationHash]):
         self._tables = np.stack([f._tables for f in families]).astype(np.uint64)
@@ -438,6 +459,28 @@ class MultiTableHasher:
             np.mod(buckets, _U64(self.num_buckets), out=buckets)
             np.bitwise_and(bits, _U64(1), out=bits)
         return buckets, bits
+
+    def select(self, tables) -> "MultiTableHasher":
+        """A hasher over ``tables`` (indices into this one's), in that order.
+
+        Row ``j`` of its output is row ``tables[j]`` of this hasher's, bit
+        for bit: the stacked parameters are row-selected, never redrawn.
+        A sketch uses it to hash a subset of its tables through the same
+        :meth:`bucket_sign_u64`.
+        """
+        rows = np.asarray(tables, dtype=np.intp)
+        sub = copy.copy(self)
+        sub.num_tables = rows.size
+        sub._bucket = self._bucket.select(rows)
+        if self._sign is not None:
+            sub._sign = self._sign.select(rows)
+        if self._combined_a is not None:
+            both = np.concatenate([rows, rows + self.num_tables])
+            sub._combined_a = self._combined_a[both]
+            sub._combined_b = self._combined_b[both]
+            if self._combined_mask is not None:
+                sub._combined_mask = self._combined_mask[both]
+        return sub
 
     # -- legacy-typed views --------------------------------------------
     def buckets(self, keys) -> np.ndarray:

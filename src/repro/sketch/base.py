@@ -152,6 +152,19 @@ class ValueSketch(abc.ABC):
     def memory_floats(self) -> int:
         """Number of float counters held — the paper's memory budget unit."""
 
+    def gate(self, keys, tau: float, *, two_sided: bool = False):
+        """ASCS's acceptance test (Algorithm 2, lines 10-11) on a batch.
+
+        Returns ``(mask, estimates)``: ``mask`` marks the keys whose
+        estimate (its absolute value when ``two_sided``) is at least
+        ``tau``, and ``estimates`` holds those keys' estimates in batch
+        order.  This default queries every key and compares; a NaN
+        estimate never clears ``tau``.
+        """
+        estimates = self.query(keys)
+        mask = (np.abs(estimates) if two_sided else estimates) >= tau
+        return mask, estimates[mask]
+
     def query_single(self, key: int) -> float:
         """Estimate a single key (convenience wrapper)."""
         return float(self.query(np.asarray([key], dtype=np.int64))[0])

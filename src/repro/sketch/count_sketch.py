@@ -13,6 +13,8 @@ inserts scatter through one ``np.bincount`` (large batches) or one
 ``np.add.at`` (small batches) over the flattened indices.  Queries gather
 all ``K x n`` candidate estimates with one fancy index and take the median
 along the table axis (a min/max network for the common small odd ``K``).
+ASCS's threshold test (:meth:`CountSketch.gate`) settles most keys on the
+first ``(K+1)/2`` tables.
 On a laptop this sustains tens of millions of updates per second, which is
 what makes the trillion-entry experiments runnable.
 """
@@ -108,6 +110,18 @@ class CountSketch(ValueSketch):
             ],
             sign_family="multiply-shift",
         )
+        # The gate's two stages: tables [0, h) settle most keys, tables
+        # [h, K) finish the rest (see gate); even K has no such split.
+        self._gate_stages = None
+        if self.num_tables % 2:
+            h = (self.num_tables + 1) // 2
+            self._gate_stages = (
+                (self._hasher.select(range(h)), self._offsets_u64[:h]),
+                (
+                    self._hasher.select(range(h, self.num_tables)),
+                    self._offsets_u64[h:],
+                ),
+            )
         # Optional hash cache for a canonical key array (dense streaming
         # passes the same arange(p) object every batch — see cache_keys).
         self._cached_keys: np.ndarray | None = None
@@ -165,17 +179,23 @@ class CountSketch(ValueSketch):
     # ------------------------------------------------------------------
     # Hash caching
     # ------------------------------------------------------------------
-    def _hash_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _hash_batch(
+        self, keys: np.ndarray, tables=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Fused ``(flat_indices, sign_bits)`` for all tables in one broadcast.
 
         ``flat_indices`` is the ``(K, n)`` int64 matrix ``e*R + h_e(key)``
         addressing :attr:`_flat`; ``sign_bits`` is the raw ``(K, n)`` uint64
         bit matrix (0 => +1, 1 => -1), converted to floats only where a
         caller actually needs them (see
-        :func:`repro.sketch.kernels.numpy_ref.apply_sign`).
+        :func:`repro.sketch.kernels.numpy_ref.apply_sign`).  ``tables``, a
+        ``(hasher, offsets)`` stage of the gate, hashes only its rows.
         """
-        w, bits = self._hasher.bucket_sign_u64(keys)
-        np.add(w, self._offsets_u64, out=w)
+        hasher, offsets = (
+            (self._hasher, self._offsets_u64) if tables is None else tables
+        )
+        w, bits = hasher.bucket_sign_u64(keys)
+        np.add(w, offsets, out=w)
         return w.view(np.int64), bits
 
     def cache_keys(self, keys: np.ndarray) -> None:
@@ -267,6 +287,53 @@ class CountSketch(ValueSketch):
         if jit is not None and self.num_tables in (1, 3, 5):
             return self._jit_query(*jit, keys)
         return median(self._estimates(self._lookup(keys)))
+
+    def gate(self, keys, tau: float, *, two_sided: bool = False):
+        """ASCS's threshold test, settled on half the tables where it can be.
+
+        Same contract as :meth:`repro.sketch.ValueSketch.gate`, and the same
+        mask and estimates bit for bit.  For odd ``K`` a median is at least
+        ``tau`` exactly when ``h = (K+1)/2`` of its values are, so a key
+        whose first ``h`` signed counters all lie below ``tau`` (in
+        absolute value when ``two_sided``) is refused without hashing,
+        gathering or ranking the other tables.  The keys still in doubt
+        get the other tables and :func:`median` over all ``K`` in table
+        order, exactly the column :meth:`query` ranks.  A NaN counter
+        refuses its key on both paths: ``np.maximum`` and the median
+        network both propagate it, and NaN never clears ``tau``.
+
+        Even ``K``, a :meth:`cache_keys` hit and the compiled kernels keep
+        the default (query, then compare).
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        if (
+            self._gate_stages is None
+            or keys.ndim != 1
+            or keys is self._cached_keys
+            or self._jit_kernels(keys) is not None
+        ):
+            return super().gate(keys, tau, two_sided=two_sided)
+        first, rest = self._gate_stages
+        flat, bits = self._hash_batch(keys, first)
+        est = apply_sign(bits, self._store.gather(flat))
+        # Each spent temporary is dropped at once, so the next allocation
+        # reuses memory still in cache: with most keys in doubt that is
+        # ~10% of the gate.  Integer takes throughout: boolean selection
+        # is several times slower on these shapes.
+        del flat, bits
+        doubt = np.flatnonzero(
+            np.maximum.reduce(np.abs(est) if two_sided else est, axis=0) >= tau
+        )
+        est = est.take(doubt, axis=1)
+        flat, bits = self._hash_batch(keys.take(doubt), rest)
+        est = np.concatenate([est, apply_sign(bits, self._store.gather(flat))])
+        del flat, bits
+        med = median(est)
+        del est
+        ok = np.flatnonzero((np.abs(med) if two_sided else med) >= tau)
+        mask = np.zeros(keys.size, dtype=bool)
+        mask[doubt.take(ok)] = True
+        return mask, med.take(ok)
 
     def _jit_insert(self, module, flat, keys, values) -> None:
         """``module.cs_insert`` with this sketch's hashes and strategy rule."""

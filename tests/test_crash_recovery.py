@@ -17,6 +17,7 @@ behaviour, and the serving CheckpointManager's walk-back over
 hand-truncated snapshot files.
 """
 
+import errno
 import hashlib
 import struct
 import tempfile
@@ -44,8 +45,10 @@ from repro.durability import (
     journal_end_seq,
     replay_journal,
 )
+from repro.distributed import shard as shard_module
 from repro.durability.faults import (
     FaultyFS,
+    Flaky,
     SimulatedCrash,
     flip_byte,
     truncate_file,
@@ -527,7 +530,8 @@ class TestDurableCheckpoints:
 
     def test_unreadable_oldest_checkpoint_keeps_the_journal(self, tmp_path, caplog):
         """A kept checkpoint this process never read is read back for its
-        WAL position; when that fails, the journal stays whole."""
+        WAL position; one that fails is quarantined and not counted, and
+        the journal stays whole back to the oldest checkpoint that reads."""
         spec = SPECS["float64"]
         batches = _batches(spec, num_batches=8)
         options = dict(checkpoint_every=2, keep_checkpoints=3, rotate_every=1)
@@ -543,8 +547,113 @@ class TestDurableCheckpoints:
             for batch in batches[6:]:
                 reopened.fit_sparse(batch)
         reopened.close()
-        assert "keeping the journal whole" in caplog.text
+        assert "quarantining corrupt checkpoint" in caplog.text
+        assert (tmp_path / "ckpt-00000001.npz.corrupt").exists()
+        assert (tmp_path / "ckpt-00000000.npz").exists()
         assert segments <= set(tmp_path.glob("wal-*.wal"))
+
+    @pytest.mark.parametrize("storage", sorted(SPECS))
+    def test_damaged_checkpoints_never_leave_the_directory_unrecoverable(
+        self, storage, tmp_path
+    ):
+        """Retention counts only checkpoints that still match what was
+        written: a damaged one is quarantined, so the last good checkpoint
+        and the journal it needs survive losing the newest one too."""
+        spec = SPECS[storage]
+        batches = _batches(spec, num_batches=6)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=2, rotate_every=1)
+        for batch in batches[:4]:
+            durable.fit_sparse(batch)
+        truncate_file(sorted(tmp_path.glob("ckpt-*.npz"))[-1], fraction=0.5)
+        for batch in batches[4:]:
+            durable.fit_sparse(batch)
+        durable.close()
+        assert (tmp_path / "ckpt-00000001.npz.corrupt").exists()
+        truncate_file(sorted(tmp_path.glob("ckpt-*.npz"))[-1], fraction=0.5)
+
+        reference = spec.build_sketcher()
+        for batch in batches:
+            reference.fit_sparse(iter(batch))
+        recovered = DurableSketcher(tmp_path)
+        recovered.close()
+        assert recovered.recovered_from == 0
+        _assert_bit_identical(recovered, reference, spec)
+
+    @staticmethod
+    def _fail_next_checkpoint(monkeypatch):
+        """Make the next checkpoint write fail as a full disk would."""
+        flaky = Flaky(
+            shard_module.write_npz,
+            exc_factory=lambda: OSError(errno.ENOSPC, "No space left on device"),
+        )
+        monkeypatch.setattr(shard_module, "write_npz", flaky)
+        return flaky
+
+    @pytest.mark.parametrize("storage", sorted(SPECS))
+    def test_failed_checkpoint_acknowledges_the_applied_batch(
+        self, storage, tmp_path, monkeypatch, caplog
+    ):
+        """The cadence checkpoint runs after the batch was journalled and
+        applied: its failure is logged and counted, not raised, and the
+        next batch retries it."""
+        spec = SPECS[storage]
+        batches = _batches(spec, num_batches=6)
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=2)
+        for batch in batches[:2]:
+            durable.fit_sparse(batch)
+        flaky = self._fail_next_checkpoint(monkeypatch)
+        durable.fit_sparse(batches[2])
+        with caplog.at_level("WARNING"):
+            durable.fit_sparse(batches[3])
+        assert flaky.faults == 1
+        assert "checkpoint of" in caplog.text
+        assert durable.samples_seen == 4 * 4
+        assert durable.journal.last_seq == 3
+        assert durable.checkpoint_seq == 1
+        stats = durable.stats()
+        assert stats["checkpoint_failures"] == 1
+        assert durable.registry.get("repro_ckpt_failures_total").value == 1
+        durable.fit_sparse(batches[4])
+        assert durable.checkpoint_seq == 4
+        assert durable.wal_lag == 0
+        durable.fit_sparse(batches[5])
+        durable.close()
+
+        reference = spec.build_sketcher()
+        for batch in batches:
+            reference.fit_sparse(iter(batch))
+        _assert_bit_identical(durable, reference, spec)
+        recovered = DurableSketcher(tmp_path)
+        recovered.close()
+        _assert_bit_identical(recovered, reference, spec)
+
+    @pytest.mark.parametrize("storage", sorted(SPECS))
+    def test_failed_checkpoint_answers_200_over_http(
+        self, storage, tmp_path, monkeypatch
+    ):
+        from repro.serving import ServingEstimator
+        from repro.serving.http import ServingClient, serve_in_background
+
+        spec = SPECS[storage]
+        batches = _batches(spec, num_batches=6)
+        serving = ServingEstimator.durable(
+            tmp_path, spec, durable_options={"checkpoint_every": 2}
+        )
+        server, _thread = serve_in_background(serving)
+        try:
+            client = ServingClient(server.url, retries=0)
+            for batch in batches[:2]:
+                client.ingest(batch)
+            flaky = self._fail_next_checkpoint(monkeypatch)
+            for batch in batches[2:]:
+                assert client.ingest(batch)["ingested"] == len(batch)
+            assert flaky.faults == 1
+            stats = client.stats()
+            assert stats["write_samples_seen"] == 4 * len(batches)
+            assert stats["durability"]["checkpoint_failures"] == 1
+        finally:
+            server.stop(timeout=5.0)
+            serving.sketcher.close()
 
     def test_recover_classmethod_requires_recipe(self, tmp_path):
         with pytest.raises(FileNotFoundError):

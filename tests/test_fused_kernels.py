@@ -7,6 +7,8 @@ every assertion here is exact equality — no tolerances.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ascs import ActiveSamplingCountSketch
 from repro.core.estimator import SketchEstimator
@@ -20,7 +22,7 @@ from repro.reference import (
     legacy_sparse_batch_pairs,
 )
 from repro.sketch.count_min import CountMinSketch
-from repro.sketch.base import scatter_add_flat
+from repro.sketch.base import ValueSketch, scatter_add_flat
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.kernels import available_backends, numba_available
 from repro.sketch.kernels.numpy_ref import apply_sign, median
@@ -556,3 +558,153 @@ class TestEndToEndSparsePipeline:
             zip(np.asarray(keys, dtype=np.int64).tolist(), gate_est.tolist())
         )
         assert lookup == {k: v for k, v in expect.items()}
+
+
+# ----------------------------------------------------------------------
+# ASCS's staged gate
+# ----------------------------------------------------------------------
+class _DefaultGate(CountSketch):
+    """A ``CountSketch`` whose gate is the default: query, then compare."""
+
+    gate = ValueSketch.gate
+
+
+def _ascs_pair_stream(rng, *, batches=16, samples=10, size=600, keys=4000):
+    """Pair-update-like batches: a few keys carry a steady positive (or,
+    for some, negative) signal among zero-mean noise, repeats included."""
+    signal = rng.choice(keys, size=40, replace=False)
+    sign = np.where(np.arange(signal.size) % 4 == 0, -1.0, 1.0)
+    out = []
+    for _ in range(batches):
+        pick = rng.integers(0, signal.size, size=size // 5)
+        noise = rng.integers(0, keys, size=size - pick.size)
+        batch_keys = np.concatenate([signal[pick], noise]) * 7919 + 13
+        signal_values = sign[pick] * rng.uniform(0.5, 2.0, pick.size)
+        values = np.concatenate([signal_values, rng.standard_normal(noise.size)])
+        order = rng.permutation(size)
+        out.append((batch_keys[order].astype(np.int64), values[order], samples))
+    return out
+
+
+def _run_ascs(sketch, stream, *, two_sided):
+    total = sum(samples for _, _, samples in stream)
+    schedule = ThresholdSchedule(
+        total_samples=total, exploration_length=total // 4, tau0=2e-3, theta=0.02
+    )
+    est = ActiveSamplingCountSketch(
+        sketch, total, schedule, track_top=48, two_sided=two_sided
+    )
+    for keys, values, samples in stream:
+        est.ingest(keys, values, num_samples=samples)
+    return est
+
+
+def _assert_same_ascs(fused, reference):
+    table, reference_table = fused.sketch.table, reference.sketch.table
+    assert np.asarray(table).tobytes() == np.asarray(reference_table).tobytes()
+    for got, want in zip(fused.tracker.snapshot(), reference.tracker.snapshot()):
+        np.testing.assert_array_equal(got, want)
+    assert fused.updates_examined == reference.updates_examined
+    assert fused.updates_accepted == reference.updates_accepted
+
+
+class TestStagedGate:
+    """``CountSketch.gate`` settles most keys on (K+1)/2 tables and must
+    decide and estimate exactly as querying every key would."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_kernels(self, pin_kernels):
+        # The compiled leg keeps the default gate; the staged one is numpy.
+        pin_kernels("numpy")
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    @pytest.mark.parametrize("num_tables", [1, 3, 4, 5, 7])
+    def test_ascs_matches_the_legacy_full_query_gate(self, rng, num_tables, two_sided):
+        stream = _ascs_pair_stream(rng)
+        fused = _run_ascs(
+            CountSketch(num_tables, 512, seed=4), stream, two_sided=two_sided
+        )
+        legacy = _run_ascs(
+            LegacyCountSketch(num_tables, 512, seed=4), stream, two_sided=two_sided
+        )
+        _assert_same_ascs(fused, legacy)
+        # The gate ran and refused some updates, but not all.
+        assert 0 < fused.updates_accepted < fused.updates_examined
+        assert fused.updates_accepted > sum(k.size for k, _, _ in stream) // 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_hash_family_hashes_its_stages_alike(self, rng, family):
+        """Both stages hash through ``MultiTableHasher.select`` rows."""
+        stream = _ascs_pair_stream(rng)
+        staged = CountSketch(5, 512, seed=4, family=family)
+        legacy = LegacyCountSketch(5, 512, seed=4, family=family)
+        _assert_same_ascs(
+            _run_ascs(staged, stream, two_sided=False),
+            _run_ascs(legacy, stream, two_sided=False),
+        )
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_int16_storage_matches_the_default_gate(self, rng, two_sided):
+        stream = _ascs_pair_stream(rng)
+        staged = CountSketch(5, 512, seed=4, dtype="int16", quantum=2.0**-12)
+        default = _DefaultGate(5, 512, seed=4, dtype="int16", quantum=2.0**-12)
+        _assert_same_ascs(
+            _run_ascs(staged, stream, two_sided=two_sided),
+            _run_ascs(default, stream, two_sided=two_sided),
+        )
+        assert staged.storage_dtype == default.storage_dtype
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        num_tables=st.sampled_from([1, 3, 5, 7]),
+        seed=st.integers(0, 2**31 - 1),
+        tau_level=st.integers(-4, 4),
+        two_sided=st.booleans(),
+        nans=st.integers(0, 40),
+    )
+    def test_gate_equals_query_then_compare(
+        self, num_tables, seed, tau_level, two_sided, nans
+    ):
+        """Counters on a coarse grid put many estimates exactly on tau,
+        and NaN counters in the first (K+1)/2 tables never pass."""
+        rng = np.random.default_rng(seed)
+        sketch = CountSketch(num_tables, 64, seed=seed % 97)
+        table = rng.integers(-4, 5, size=(num_tables, 64)) * 0.5
+        h = (num_tables + 1) // 2
+        table[rng.integers(0, h, nans), rng.integers(0, 64, nans)] = np.nan
+        sketch.load_table(table)
+        keys = rng.integers(0, 10**9, size=int(rng.integers(0, 300)))
+        tau = tau_level * 0.5
+        mask, estimates = sketch.gate(keys, tau, two_sided=two_sided)
+        want_mask, want_estimates = ValueSketch.gate(
+            sketch, keys, tau, two_sided=two_sided
+        )
+        np.testing.assert_array_equal(mask, want_mask)
+        assert estimates.tobytes() == want_estimates.tobytes()
+
+    @pytest.mark.parametrize("num_tables", [4, 6])
+    def test_even_tables_and_cached_keys_take_the_default(
+        self, rng, monkeypatch, num_tables
+    ):
+        """Both query the whole batch once, then compare."""
+        keys = rng.integers(0, 10**9, size=500)
+        even, odd = CountSketch(num_tables, 256, seed=2), CountSketch(5, 256, seed=2)
+        odd.cache_keys(keys)
+        for sketch, batch in ((even, keys), (odd, odd._cached_keys)):
+            sketch.insert(batch, rng.standard_normal(500))
+            want_mask, want_estimates = ValueSketch.gate(sketch, batch, 0.0)
+            queried = []
+
+            def query(k, *, sketch_query=sketch.query, queried=queried):
+                queried.append(k.size)
+                return sketch_query(k)
+
+            monkeypatch.setattr(sketch, "query", query)
+            mask, estimates = sketch.gate(batch, 0.0)
+            assert queried == [batch.size]
+            np.testing.assert_array_equal(mask, want_mask)
+            np.testing.assert_array_equal(estimates, want_estimates)
