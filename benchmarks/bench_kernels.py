@@ -29,6 +29,7 @@ import os
 import platform
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,31 +61,38 @@ NUM_TABLES = 5
 NUM_BUCKETS = 1 << 17
 
 
-def _best_seconds(make_state, op, *, trials: int, inner: int) -> float:
-    """Best-of-``trials`` mean seconds per ``op`` call.
+def _best_seconds(*sides, trials: int, inner: int) -> list[float]:
+    """Best-of-``trials`` mean seconds per call of each ``(make_state, op)``.
 
+    Every trial times every side, and the side that goes first rotates
+    from trial to trial, so a slow spell of a shared host falls on all
+    sides of a record instead of on whichever ran through it.
     ``make_state`` builds fresh state per trial so stateful ops (inserts,
     tracker offers) do not drift across repetitions; ``inner`` amortises
     the clock resolution for microsecond-scale ops.
     """
-    # Auto-calibrate the inner loop so each timed window spans >= ~2 ms —
+    # Auto-calibrate each side's inner loop so a timed window spans >= ~2 ms:
     # microsecond-scale kernels are otherwise dominated by timer jitter.
-    probe_state = make_state()
-    op(probe_state)
-    t0 = time.perf_counter()
-    op(probe_state)
-    probe = time.perf_counter() - t0
-    inner = max(inner, min(400, int(0.002 / max(probe, 1e-9)) + 1))
-
-    best = float("inf")
-    for _ in range(trials):
-        state = make_state()
-        op(state)  # warm the caches / lazy allocations
+    inners = []
+    for make_state, op in sides:
+        probe_state = make_state()
+        op(probe_state)
         t0 = time.perf_counter()
-        for _ in range(inner):
-            op(state)
-        elapsed = (time.perf_counter() - t0) / inner
-        best = min(best, elapsed)
+        op(probe_state)
+        probe = time.perf_counter() - t0
+        inners.append(max(inner, min(400, int(0.002 / max(probe, 1e-9)) + 1)))
+
+    best = [float("inf")] * len(sides)
+    for trial in range(trials):
+        for k in range(len(sides)):
+            i = (trial + k) % len(sides)
+            make_state, op = sides[i]
+            state = make_state()
+            op(state)  # warm the caches / lazy allocations
+            t0 = time.perf_counter()
+            for _ in range(inners[i]):
+                op(state)
+            best[i] = min(best[i], (time.perf_counter() - t0) / inners[i])
     return best
 
 
@@ -110,15 +118,12 @@ def bench_count_sketch(results, *, batches, trials, inner, rng):
         keys = rng.integers(0, 10**12, size=n).astype(np.int64)
         values = rng.standard_normal(n)
 
-        legacy_s = _best_seconds(
-            lambda: LegacyCountSketch(NUM_TABLES, NUM_BUCKETS, seed=1),
-            lambda sk: sk.insert(keys, values),
-            trials=trials,
-            inner=inner,
-        )
-        fused_s = _best_seconds(
-            lambda: CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1),
-            lambda sk: sk.insert(keys, values),
+        def insert(sk):
+            sk.insert(keys, values)
+
+        legacy_s, fused_s = _best_seconds(
+            (lambda: LegacyCountSketch(NUM_TABLES, NUM_BUCKETS, seed=1), insert),
+            (lambda: CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1), insert),
             trials=trials,
             inner=inner,
         )
@@ -128,11 +133,11 @@ def bench_count_sketch(results, *, batches, trials, inner, rng):
         fused = CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1)
         legacy.insert(keys, values)
         fused.insert(keys, values)
-        legacy_s = _best_seconds(
-            lambda: legacy, lambda sk: sk.query(keys), trials=trials, inner=inner
-        )
-        fused_s = _best_seconds(
-            lambda: fused, lambda sk: sk.query(keys), trials=trials, inner=inner
+        legacy_s, fused_s = _best_seconds(
+            (lambda: legacy, lambda sk: sk.query(keys)),
+            (lambda: fused, lambda sk: sk.query(keys)),
+            trials=trials,
+            inner=inner,
         )
         results.append(_record("countsketch_query", n, legacy_s, fused_s, n))
 
@@ -142,17 +147,19 @@ def bench_count_min(results, *, trials, inner, rng):
     keys = rng.integers(0, 10**12, size=n).astype(np.int64)
     values = np.abs(rng.standard_normal(n))
     for conservative in (False, True):
-        legacy_s = _best_seconds(
-            lambda: LegacyCountMinSketch(
-                3, NUM_BUCKETS, seed=1, conservative=conservative
+        legacy_s, fused_s = _best_seconds(
+            (
+                lambda: LegacyCountMinSketch(
+                    3, NUM_BUCKETS, seed=1, conservative=conservative
+                ),
+                lambda sk: sk.insert(keys, values),
             ),
-            lambda sk: sk.insert(keys, values),
-            trials=trials,
-            inner=inner,
-        )
-        fused_s = _best_seconds(
-            lambda: CountMinSketch(3, NUM_BUCKETS, seed=1, conservative=conservative),
-            lambda sk: sk.insert(keys, values),
+            (
+                lambda: CountMinSketch(
+                    3, NUM_BUCKETS, seed=1, conservative=conservative
+                ),
+                lambda sk: sk.insert(keys, values),
+            ),
             trials=trials,
             inner=inner,
         )
@@ -181,11 +188,11 @@ def bench_hash_families(results, *, trials, inner, rng):
             for h in per_table:
                 h(keys)
 
-        legacy_s = _best_seconds(
-            lambda: None, legacy_hash, trials=trials, inner=inner
-        )
-        fused_s = _best_seconds(
-            lambda: None, lambda _: hasher.buckets(keys), trials=trials, inner=inner
+        legacy_s, fused_s = _best_seconds(
+            (lambda: None, legacy_hash),
+            (lambda: None, lambda _: hasher.buckets(keys)),
+            trials=trials,
+            inner=inner,
         )
         results.append(
             _record(
@@ -212,15 +219,9 @@ def bench_tracker(results, *, trials, inner, rng):
         for keys, ests in stream:
             tr.offer(keys, ests)
 
-    legacy_s = _best_seconds(
-        lambda: None,
-        lambda _: offer_stream(lambda: LegacyTopKTracker(50_000)),
-        trials=trials,
-        inner=1,
-    )
-    fused_s = _best_seconds(
-        lambda: None,
-        lambda _: offer_stream(lambda: TopKTracker(50_000)),
+    legacy_s, fused_s = _best_seconds(
+        (lambda: None, lambda _: offer_stream(lambda: LegacyTopKTracker(50_000))),
+        (lambda: None, lambda _: offer_stream(lambda: TopKTracker(50_000))),
         trials=trials,
         inner=1,
     )
@@ -233,15 +234,9 @@ def bench_tracker(results, *, trials, inner, rng):
     # array-backed pool, best case for the dict).
     keys = rng.integers(0, 10**4, size=n).astype(np.int64)
     ests = rng.standard_normal(n)
-    legacy_s = _best_seconds(
-        lambda: LegacyTopKTracker(2048),
-        lambda tr: tr.offer(keys, ests),
-        trials=trials,
-        inner=inner,
-    )
-    fused_s = _best_seconds(
-        lambda: TopKTracker(2048),
-        lambda tr: tr.offer(keys, ests),
+    legacy_s, fused_s = _best_seconds(
+        (lambda: LegacyTopKTracker(2048), lambda tr: tr.offer(keys, ests)),
+        (lambda: TopKTracker(2048), lambda tr: tr.offer(keys, ests)),
         trials=trials,
         inner=inner,
     )
@@ -259,15 +254,9 @@ def bench_sparse_expansion(results, *, trials, inner, rng, num_samples):
     val = rng.standard_normal(idx.size)
     pairs = int((lengths * (lengths - 1) // 2).sum())
 
-    legacy_s = _best_seconds(
-        lambda: None,
-        lambda _: legacy_sparse_batch_pairs(idx, val, lengths, dim),
-        trials=trials,
-        inner=inner,
-    )
-    fused_s = _best_seconds(
-        lambda: None,
-        lambda _: sparse_batch_pairs(idx, val, lengths, dim),
+    legacy_s, fused_s = _best_seconds(
+        (lambda: None, lambda _: legacy_sparse_batch_pairs(idx, val, lengths, dim)),
+        (lambda: None, lambda _: sparse_batch_pairs(idx, val, lengths, dim)),
         trials=trials,
         inner=inner,
     )
@@ -324,10 +313,12 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
     # Sanity: both stacks must leave the same counters behind.
     np.testing.assert_array_equal(run_fused().sketch.table, run_legacy().sketch.table)
 
-    legacy_s = _best_seconds(
-        lambda: None, lambda _: run_legacy(), trials=trials, inner=1
+    legacy_s, fused_s = _best_seconds(
+        (lambda: None, lambda _: run_legacy()),
+        (lambda: None, lambda _: run_fused()),
+        trials=trials,
+        inner=1,
     )
-    fused_s = _best_seconds(lambda: None, lambda _: run_fused(), trials=trials, inner=1)
     results.append(
         _record(
             "sparse_pipeline_fit",
@@ -394,8 +385,9 @@ def bench_route(results, *, trials, nnz_grid):
         def gemm(sk):
             sk.insert(*sketcher._gemm_pair_updates(idx, val, lengths, union))
 
-        expand_s = _best_seconds(sketch, expand, trials=trials, inner=1)
-        gemm_s = _best_seconds(sketch, gemm, trials=trials, inner=1)
+        expand_s, gemm_s = _best_seconds(
+            (sketch, expand), (sketch, gemm), trials=trials, inner=1
+        )
         expanded = int((lengths * (lengths - 1)).sum()) // 2
         u = union.size
         results.append(
@@ -457,14 +449,11 @@ def bench_gate(results, *, trials, inner, rng):
         tau = float(np.quantile(top, 1.0 - doubt))
         mask, estimates = ValueSketch.gate(sketch, keys, tau)
         got_mask, got_estimates = sketch.gate(keys, tau)
-        query_s = _best_seconds(
-            lambda: None,
-            lambda _: ValueSketch.gate(sketch, keys, tau),
+        query_s, gate_s = _best_seconds(
+            (lambda: None, lambda _: ValueSketch.gate(sketch, keys, tau)),
+            (lambda: None, lambda _: sketch.gate(keys, tau)),
             trials=trials,
             inner=inner,
-        )
-        gate_s = _best_seconds(
-            lambda: None, lambda _: sketch.gate(keys, tau), trials=trials, inner=inner
         )
         results.append(
             {
@@ -503,63 +492,50 @@ def bench_backends(results, *, batches, trials, inner, rng):
     """Kernel-backend axis: numpy vs numba on the same sketch hot paths.
 
     Each leg builds its sketches under :func:`_pinned_kernels`, so a host
-    with numba measures both sides of the axis.  Records carry ``backend``
+    with numba measures both sides of the axis, inside the same trials.
+    Records carry ``backend``
     + absolute ``seconds``/``updates_per_sec``; ``check_regressions``
     derives the numba-vs-numpy speedup from pairs of records and requires
     >= 5x on insert when numba is importable.
     """
+    backends = available_backends()
+
+    def make(backend):
+        with _pinned_kernels(backend):
+            return CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1)
+
     for n in batches:
         keys = rng.integers(0, 10**12, size=n).astype(np.int64)
         values = rng.standard_normal(n)
-        for backend in available_backends():
-
-            def make():
-                with _pinned_kernels(backend):
-                    return CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1)
-
-            seconds = _best_seconds(
-                make, lambda sk: sk.insert(keys, values), trials=trials, inner=inner
-            )
-            results.append(
-                {
-                    "op": "backend_insert",
-                    "backend": backend,
-                    "batch": int(n),
-                    "seconds": seconds,
-                    "updates_per_sec": n / seconds,
-                }
-            )
-
-            warm = make()
-            warm.insert(keys, values)
-            seconds = _best_seconds(
-                lambda: warm, lambda sk: sk.query(keys), trials=trials, inner=inner
-            )
-            results.append(
-                {
-                    "op": "backend_query",
-                    "backend": backend,
-                    "batch": int(n),
-                    "seconds": seconds,
-                    "updates_per_sec": n / seconds,
-                }
-            )
-
-            seconds = _best_seconds(
-                make,
-                lambda sk: sk.insert_and_query(keys, values),
-                trials=trials,
-                inner=inner,
-            )
-            results.append(
-                {
-                    "op": "backend_insert_and_query",
-                    "backend": backend,
-                    "batch": int(n),
-                    "seconds": seconds,
-                    "updates_per_sec": n / seconds,
-                }
-            )
+        warm = {backend: make(backend) for backend in backends}
+        for sk in warm.values():
+            sk.insert(keys, values)
+        sides = {
+            "backend_insert": [
+                (partial(make, backend), lambda sk: sk.insert(keys, values))
+                for backend in backends
+            ],
+            "backend_query": [
+                (partial(warm.get, backend), lambda sk: sk.query(keys))
+                for backend in backends
+            ],
+            "backend_insert_and_query": [
+                (partial(make, backend), lambda sk: sk.insert_and_query(keys, values))
+                for backend in backends
+            ],
+        }
+        for op, legs in sides.items():
+            timed = _best_seconds(*legs, trials=trials, inner=inner)
+            for backend, seconds in zip(backends, timed):
+                results.append(
+                    {
+                        "op": op,
+                        "backend": backend,
+                        "batch": int(n),
+                        "seconds": seconds,
+                        "updates_per_sec": n / seconds,
+                    }
+                )
 
 
 def backend_speedup(report: dict, op: str = "backend_insert") -> float | None:

@@ -16,12 +16,14 @@ correlation evaluation of reported pairs) while running in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.streams import SparseSample
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["DNAKmerStream"]
 
@@ -92,6 +94,8 @@ class DNAKmerStream:
         """Full read-by-kmer count matrix — used for exact evaluation of
         reported pairs.  The column index space is the full ``4^k``; scipy
         handles the width since only observed k-mers hold data."""
+        from scipy.sparse import csr_matrix
+
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         vals: list[np.ndarray] = []
@@ -99,7 +103,7 @@ class DNAKmerStream:
             rows.append(np.full(sample.indices.size, r, dtype=np.int64))
             cols.append(sample.indices)
             vals.append(sample.values)
-        return sp.csr_matrix(
+        return csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.num_reads, self.dim),
         )

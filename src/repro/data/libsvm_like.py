@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.synthetic import BlockCorrelationModel
 
@@ -53,7 +52,9 @@ class Dataset:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.X)
+        from scipy.sparse import issparse
+
+        return issparse(self.X)
 
     def dense(self) -> np.ndarray:
         if self.is_sparse:
@@ -138,6 +139,8 @@ def _topic_model(
     strong (~member_prob) correlations that text co-occurrence exhibits;
     everything else is near-zero — the paper's rcv1/sector regime.
     """
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     planted = num_topics * topic_size
     if planted >= d:

@@ -13,13 +13,15 @@ Table 2 shows ASCS recovering the top pairs at 10x less memory than CS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.streams import SparseSample
 from repro.hashing.pairs import pair_to_index
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["URLLikeStream"]
 
@@ -87,6 +89,8 @@ class URLLikeStream:
 
     def materialize(self) -> sp.csr_matrix:
         """Full sample-by-feature binary matrix for exact evaluation."""
+        from scipy.sparse import csr_matrix
+
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         for r, sample in enumerate(self):
@@ -94,7 +98,7 @@ class URLLikeStream:
             cols.append(sample.indices)
         row = np.concatenate(rows)
         col = np.concatenate(cols)
-        return sp.csr_matrix(
+        return csr_matrix(
             (np.ones(row.size), (row, col)), shape=(self.num_samples, self.dim)
         )
 

@@ -109,7 +109,8 @@ class DurableSketcher:
         them, which is why the default keeps 2: the newest checkpoint can
         be lost to corruption and recovery still has the journal suffix
         the previous one needs).  One damaged on disk is quarantined and
-        does not count.
+        does not count; the oldest retained one is read back in full before
+        the journal is pruned through it.
     fsync, rotate_every, open_fn:
         Passed to :class:`~repro.durability.journal.IngestJournal`
         (``open_fn`` is the fault-injection hook).
@@ -463,20 +464,21 @@ class DurableSketcher:
             signature.append((f.name, st.st_size, st.st_mtime_ns))
         return tuple(signature)
 
-    def _intact(self, ckpt_id: int, path: Path) -> int | None:
-        """The ``wal_seq`` of a checkpoint that still matches what was
-        written, or ``None`` after quarantining a damaged one.
+    def _intact(self, ckpt_id: int, path: Path, *, reread: bool = False) -> int | None:
+        """The ``wal_seq`` of a checkpoint that still reads as written, or
+        ``None`` after quarantining a damaged one.
 
-        A checkpoint whose files have the sizes and mtimes recorded when it
-        was written (or recovered from) is trusted as is, so damage in
-        place that keeps both goes unseen here.  Any other is read back
-        through :func:`read_npz`, every file of it; one that fails is set
-        aside as recovery would set it aside.
+        Without ``reread``, a checkpoint whose files have the sizes and
+        mtimes recorded when it was written (or recovered from) is trusted
+        as is, so damage in place that keeps both goes unseen.  Any other,
+        and every one with ``reread``, is read back through
+        :func:`read_npz`, every file of it; one that fails is set aside as
+        recovery would set it aside.
         """
         known = self._ckpt_written.get(ckpt_id)
         try:
             signature = self._signature(path)
-            if known is not None and known[1] == signature:
+            if not reread and known is not None and known[1] == signature:
                 return known[0]
             with read_npz(path) as data:
                 wal_seq = int(data["wal_seq"])
@@ -494,21 +496,25 @@ class DurableSketcher:
         """Keep the newest ``keep_checkpoints`` intact checkpoints; drop
         the older ones and the journal segments the oldest kept one covers.
 
-        Only a checkpoint that still matches what was written counts
-        toward ``keep_checkpoints`` (see :meth:`_intact`): one truncated,
-        rewritten or replaced on disk after it was written is quarantined
-        instead, so such damage never makes retention delete the last good
-        checkpoint or prune the journal through one recovery could not
-        load.  Damage that keeps every file's size and mtime (bit rot in
-        place, a filesystem with coarse mtimes) is not seen here; recovery
-        still quarantines such a checkpoint when it reads it.
+        The journal is never pruned through a checkpoint that did not read
+        back: the oldest kept one is read in full through :func:`read_npz`
+        whatever its size and mtime say, one read per commit, and one that
+        fails is quarantined and the next older one takes its place.  The
+        newer kept ones count when their files still have the sizes and
+        mtimes recorded when they were written (see :meth:`_intact`); one
+        truncated, rewritten or replaced since is quarantined and does not
+        count.  When no checkpoint reads back as the oldest kept one, the
+        journal is left whole.
         """
-        kept = []
-        for ckpt_id, path in reversed(self._checkpoints()):
+        checkpoints = self._checkpoints()
+        kept, verified = [], False
+        for n, (ckpt_id, path) in enumerate(reversed(checkpoints), 1):
             if len(kept) < self.keep_checkpoints:
-                wal_seq = self._intact(ckpt_id, path)
+                oldest = len(kept) == self.keep_checkpoints - 1 or n == len(checkpoints)
+                wal_seq = self._intact(ckpt_id, path, reread=oldest)
                 if wal_seq is not None:
                     kept.append(wal_seq)
+                    verified = oldest
                 continue
             self._ckpt_written.pop(ckpt_id, None)
             path.unlink(missing_ok=True)
@@ -517,7 +523,7 @@ class DurableSketcher:
                 for pane in ring.iterdir():
                     pane.unlink()
                 ring.rmdir()
-        if kept and kept[-1] >= 0:
+        if verified and kept[-1] >= 0:
             self.journal.prune_through(kept[-1])
 
     # ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.data.registry import make_dataset
 from repro.experiments.base import TableResult
@@ -38,6 +37,8 @@ class Config:
 
 def _qq_stats(values: np.ndarray) -> tuple[float, float, float, float]:
     """(QQ correlation, skewness, excess kurtosis, KS p-value)."""
+    from scipy import stats
+
     values = np.sort(values)
     n = values.size
     theoretical = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)

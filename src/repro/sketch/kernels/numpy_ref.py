@@ -18,6 +18,13 @@ The contract
   are the sign hashes; the sign bit is bit 0 of the same expression
   (``0 => +1``, ``1 => -1``).  All arithmetic is uint64 with wrap-around,
   matching numpy and C exactly.
+* **Sign.** A sign bit of 1 flips the value's IEEE sign bit and nothing
+  else: numpy XORs ``bit << 63`` into the float's bits, the compiled
+  kernels write ``-value``.  Both give the bytes of ``np.where(bits, -x,
+  x)`` for every value, ``±0``, ``±inf`` and NaN included.  (A multiply
+  by ``-1.0`` would keep a NaN's sign; only a :meth:`CountSketch.cache_keys`
+  hit, which the compiled kernels never see, multiplies by its cached
+  ``±1.0`` signs.)
 * **Summation order.** The bincount strategy accumulates every signed
   update into a fresh float64 accumulator in table-major input order
   (all of table 0's hits in batch order, then table 1's, ...), then adds
@@ -35,27 +42,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.families import _sign_bits_to_float
-
 __all__ = ["apply_sign", "median"]
 
-#: Crossover (elements per table) between `np.where`-based sign application
-#: (fewer kernel launches — wins on small batches) and the float-conversion
-#: chain (fewer memory passes — wins on large ones).  Both are exact:
-#: multiplying by ±1.0 and selecting a negation produce identical floats.
-_WHERE_SIGN_MAX = 8192
+_SIGN_SHIFT = np.uint64(63)
 
 
 def apply_sign(bits: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``(K, n)`` float64 of ``x`` with signs applied from raw sign bits.
 
-    ``x`` is either the value row ``(n,)`` (insert) or the gathered
-    estimate matrix ``(K, n)`` (query); ``bits`` is the uint64 bit matrix
-    from :meth:`repro.hashing.MultiTableHasher.sign_bits_u64`.
+    ``x`` is either the float64 value row ``(n,)`` (insert) or the
+    gathered estimate matrix ``(K, n)`` (query); ``bits`` is the uint64
+    bit matrix from :meth:`repro.hashing.MultiTableHasher.sign_bits_u64`.
+    Each bit is shifted to bit 63 and XORed into the float's bits: one
+    shift and one XOR at every size, byte-identical to
+    ``np.where(bits, -x, x)`` (see the contract's sign rule).
     """
-    if bits.shape[-1] <= _WHERE_SIGN_MAX:
-        return np.where(bits, -x, x)
-    return _sign_bits_to_float(bits) * x
+    flips = np.left_shift(bits, _SIGN_SHIFT)
+    return np.bitwise_xor(flips, x.view(np.uint64), out=flips).view(np.float64)
 
 
 def median(est: np.ndarray) -> np.ndarray:

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.stats import norm
-
 __all__ = [
     "ProblemModel",
     "collision_free_probability",
@@ -130,12 +128,14 @@ def theorem1_miss_probability(model: ProblemModel, t0: float, tau0: float) -> fl
     """
     if t0 <= 0:
         return 1.0
+    from scipy.special import ndtr
+
     p0_k = collision_free_probability(model) ** model.num_tables
     kappa = collision_inflation(model)
     z = -(math.sqrt(t0) * model.u - model.T * tau0 / math.sqrt(t0)) / (
         kappa * model.sigma
     )
-    return float(norm.cdf(z) * p0_k + (1.0 - p0_k))
+    return float(ndtr(z) * p0_k + (1.0 - p0_k))
 
 
 def omega_squared(model: ProblemModel) -> float:
@@ -169,13 +169,15 @@ def theorem2_escape_probability(
         raise ValueError(f"theta must be in [0, u={model.u}), got {theta}")
     if t0 <= 0:
         return 1.0
+    from scipy.special import log_ndtr
+
     om2 = omega_squared(model)
     om = math.sqrt(om2)
     log_factor = (model.u - theta) * (tau0 - t0 * theta / model.T) / om2
     z = (t0 * (2.0 * theta - model.u) - tau0 * model.T) / (math.sqrt(t0) * om)
     # Multiply in log space; the exp factor can overflow for aggressive
     # schedules before the clip.
-    log_phi = norm.logcdf(z)
+    log_phi = log_ndtr(z)
     value = math.exp(min(log_factor + log_phi, 0.0))
     return float(min(max(value, 0.0), 1.0))
 
@@ -202,10 +204,12 @@ def theorem3_snr_ratio(
         raise ValueError(f"t={t} must be >= t0={t0}")
     if not 0.0 < delta_star < 1.0:
         raise ValueError(f"delta_star must be in (0, 1), got {delta_star}")
+    from scipy.special import ndtr
+
     p0_k = collision_free_probability(model) ** model.num_tables
     kappa = collision_inflation(model)
     z = -theta * (math.sqrt(t) - math.sqrt(t0)) / (kappa * model.sigma)
-    noise_fraction = float(norm.cdf(z)) * p0_k + (1.0 - p0_k)
+    noise_fraction = float(ndtr(z)) * p0_k + (1.0 - p0_k)
     return (1.0 - delta_star) / noise_fraction
 
 

@@ -1,10 +1,14 @@
 """Tests for the theory bounds (repro.theory.bounds)."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr, ndtr
+from scipy.stats import norm
 
 from repro.theory.bounds import (
     ProblemModel,
@@ -214,3 +218,69 @@ class TestBoundProperties:
         assert 0.0 <= theorem2_escape_probability(m, 200, 1e-4, u * 0.5) <= 1.0
         assert 0.0 <= saturation_probability(m) <= 1.0
         assert theorem3_snr_ratio(m, 500, 200, u * 0.5, 0.5) > 0.0
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+class TestPhiMatchesScipyStats:
+    """The bounds evaluate the normal CDF with scipy.special's ``ndtr`` and
+    ``log_ndtr``, the ufuncs ``scipy.stats.norm.cdf`` and ``logcdf`` reduce
+    to: each theorem equals its formula evaluated with ``scipy.stats.norm``,
+    bit for bit, for ``z`` out to +-40, +-inf and NaN.  Each case picks the
+    input that puts the theorem's ``z`` near a grid point."""
+
+    Z = [float(z) for z in np.linspace(-40.0, 40.0, 321)]
+    Z += [math.inf, -math.inf, math.nan]
+
+    def test_ndtr_and_log_ndtr_are_norm_cdf_and_logcdf(self):
+        """Bit for bit, but for the sign of log Phi(+inf): ``log_ndtr``
+        gives -0.0 where ``norm.logcdf`` gives +0.0.  Theorem 2 adds it to
+        a log factor, ``x + -0.0`` and ``x + 0.0`` differ only for
+        ``x = -0.0``, and ``exp`` reads 1.0 for either zero, so its result
+        does not see the sign."""
+        for z in self.Z:
+            assert _bits(ndtr(z)) == _bits(norm.cdf(z))
+            if z == math.inf:
+                assert log_ndtr(z) == norm.logcdf(z) == 0.0
+            else:
+                assert _bits(log_ndtr(z)) == _bits(norm.logcdf(z))
+
+    def test_theorem1(self):
+        m, t0 = model(), 600
+        kappa = collision_inflation(m)
+        p0_k = collision_free_probability(m) ** m.num_tables
+        for target in self.Z:
+            tau0 = (target * kappa * m.sigma + math.sqrt(t0) * m.u) * math.sqrt(t0)
+            tau0 /= m.T
+            z = -(math.sqrt(t0) * m.u - m.T * tau0 / math.sqrt(t0)) / (kappa * m.sigma)
+            expected = float(norm.cdf(z) * p0_k + (1.0 - p0_k))
+            assert _bits(theorem1_miss_probability(m, t0, tau0)) == _bits(expected)
+
+    def test_theorem2(self):
+        m, t0, theta = model(), 600, 0.2
+        om2 = omega_squared(m)
+        om = math.sqrt(om2)
+        for target in self.Z:
+            tau0 = (t0 * (2.0 * theta - m.u) - target * math.sqrt(t0) * om) / m.T
+            log_factor = (m.u - theta) * (tau0 - t0 * theta / m.T) / om2
+            z = (t0 * (2.0 * theta - m.u) - tau0 * m.T) / (math.sqrt(t0) * om)
+            # tau0 = +-inf makes the log-space sum inf - inf: NaN both ways.
+            with np.errstate(invalid="ignore"):
+                value = math.exp(min(log_factor + norm.logcdf(z), 0.0))
+                got = theorem2_escape_probability(m, t0, tau0, theta)
+            expected = float(min(max(value, 0.0), 1.0))
+            assert _bits(got) == _bits(expected)
+
+    def test_theorem3(self):
+        m, t, t0, delta_star = model(), 2000, 600, 0.2
+        kappa = collision_inflation(m)
+        p0_k = collision_free_probability(m) ** m.num_tables
+        for target in self.Z:
+            theta = -target * kappa * m.sigma / (math.sqrt(t) - math.sqrt(t0))
+            z = -theta * (math.sqrt(t) - math.sqrt(t0)) / (kappa * m.sigma)
+            noise_fraction = float(norm.cdf(z)) * p0_k + (1.0 - p0_k)
+            expected = (1.0 - delta_star) / noise_fraction
+            got = theorem3_snr_ratio(m, t, t0, theta, delta_star)
+            assert _bits(got) == _bits(expected)

@@ -19,6 +19,7 @@ hand-truncated snapshot files.
 
 import errno
 import hashlib
+import os
 import struct
 import tempfile
 import zipfile
@@ -552,19 +553,44 @@ class TestDurableCheckpoints:
         assert (tmp_path / "ckpt-00000000.npz").exists()
         assert segments <= set(tmp_path.glob("wal-*.wal"))
 
-    @pytest.mark.parametrize("storage", sorted(SPECS))
+    @staticmethod
+    def _damage_in_place(path):
+        """Flip 64 bytes mid-file and restore the mtime: the size and
+        mtime still read as written."""
+        st = path.stat()
+        with open(path, "r+b") as handle:
+            handle.seek(st.st_size // 2 - 32)
+            chunk = handle.read(64)
+            handle.seek(st.st_size // 2 - 32)
+            handle.write(bytes(b ^ 0xFF for b in chunk))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+    @pytest.mark.parametrize(
+        "storage, damage",
+        [pytest.param(s, "truncated", id=s) for s in sorted(SPECS)]
+        + [pytest.param(s, "in_place", id=f"{s}-in_place") for s in sorted(SPECS)],
+    )
     def test_damaged_checkpoints_never_leave_the_directory_unrecoverable(
-        self, storage, tmp_path
+        self, storage, damage, tmp_path
     ):
-        """Retention counts only checkpoints that still match what was
-        written: a damaged one is quarantined, so the last good checkpoint
-        and the journal it needs survive losing the newest one too."""
+        """The journal is pruned only through a checkpoint that read back:
+        a damaged one is quarantined, whether or not its size and mtime
+        changed, so the last good checkpoint and the journal it needs
+        survive losing the newest one too."""
         spec = SPECS[storage]
         batches = _batches(spec, num_batches=6)
         durable = DurableSketcher(tmp_path, spec, checkpoint_every=2, rotate_every=1)
         for batch in batches[:4]:
             durable.fit_sparse(batch)
-        truncate_file(sorted(tmp_path.glob("ckpt-*.npz"))[-1], fraction=0.5)
+        newest = sorted(tmp_path.glob("ckpt-*.npz"))[-1]
+        if damage == "in_place":
+            before = newest.stat()
+            self._damage_in_place(newest)
+            after = newest.stat()
+            assert after.st_size == before.st_size
+            assert after.st_mtime_ns == before.st_mtime_ns
+        else:
+            truncate_file(newest, fraction=0.5)
         for batch in batches[4:]:
             durable.fit_sparse(batch)
         durable.close()

@@ -275,6 +275,50 @@ class TestNumbaModuleParity:
             np.testing.assert_array_equal(out_nb, sk.query(probe))
 
 
+#: ±0, ±inf, NaN of either sign and a NaN with a payload.
+SIGN_SPECIALS = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+        np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64),
+    ]
+)
+
+
+class TestSignKernel:
+    """``apply_sign`` flips the IEEE sign bit and nothing else, at every
+    size: the bytes of ``np.where(bits, -x, x)``, which is what the
+    compiled kernels' ``-value`` writes."""
+
+    @staticmethod
+    def _assert_negation_bytes(bits, x):
+        out = apply_sign(bits, x)
+        assert out.dtype == np.float64 and out.shape == bits.shape
+        np.testing.assert_array_equal(
+            out.view(np.uint64), np.where(bits, -x, x).view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("n", [1, 8192, 8193, 29000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_bytes_match_negation_at_every_size(self, k, n, rng):
+        specials = np.tile(SIGN_SPECIALS, 2)
+        flips = np.repeat(np.array([0, 1], dtype=np.uint64), SIGN_SPECIALS.size)
+        planted = rng.choice(n, size=min(n, specials.size), replace=False)
+        bits = rng.integers(0, 2, size=(k, n)).astype(np.uint64)
+        bits[:, planted] = flips[: planted.size]
+        row = rng.standard_normal(n)
+        row[planted] = specials[: planted.size]
+        matrix = rng.standard_normal((k, n))
+        matrix[:, planted] = specials[: planted.size]
+        self._assert_negation_bytes(bits, row)
+        self._assert_negation_bytes(bits, matrix)
+
+    def test_every_special_value_under_both_bits(self):
+        x = np.tile(SIGN_SPECIALS, 2)
+        bits = np.repeat(np.array([0, 1], dtype=np.uint64), SIGN_SPECIALS.size)
+        self._assert_negation_bytes(bits[None, :], x)
+        self._assert_negation_bytes(bits[None, :], x[None, :])
+
+
 class TestMedianKernel:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_matches_np_median_odd(self, k, rng):

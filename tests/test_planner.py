@@ -141,3 +141,36 @@ class TestPlanHyperparameters:
         for u in (0.1, 0.5, 1.0, 3.0):
             plan = plan_hyperparameters(easy_model(u=u))
             assert plan.theta < u
+
+
+def narrow_model(sigma: float) -> ProblemModel:
+    """The model the ``ingest_narrow`` pilot resolves (d = 10^6, R = 2^15)."""
+    return ProblemModel(
+        p=499_999_500_000,
+        alpha=1.5000015000015e-09,
+        u=0.009025,
+        sigma=sigma,
+        T=8192,
+        num_tables=5,
+        num_buckets=32_768,
+    )
+
+
+#: Algorithm 3's ``(T0, tau0, theta)`` on pinned models, as computed when
+#: the bounds evaluated the normal CDF through ``scipy.stats.norm``.  The
+#: narrow models are the pilot's at seeds 0 and 7.
+PINNED_PLANS = [
+    (saturated_model(), (200, 0.0001, 0.11390292663288762)),
+    (
+        easy_model(p=499_500, alpha=0.005, u=0.5, T=6000, num_buckets=24_975),
+        (182, 0.0001, 0.21327912926947112),
+    ),
+    (narrow_model(4.240674236877667e-05), (1148, 0.0001, 0.009021860457308458)),
+    (narrow_model(4.242695841144873e-05), (1149, 0.0001, 0.009021860432939809)),
+]
+
+
+@pytest.mark.parametrize("model, expected", PINNED_PLANS)
+def test_pinned_plans_are_repr_equal(model, expected):
+    plan = plan_hyperparameters(model)
+    assert repr((plan.exploration_length, plan.tau0, plan.theta)) == repr(expected)
