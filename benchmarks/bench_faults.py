@@ -39,6 +39,7 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from registry import BenchSuite, register
+from timing import best_seconds
 from repro.distributed import ShardSpec
 from repro.durability import DurableSketcher
 from repro.durability.faults import FaultyFS, SimulatedCrash
@@ -78,43 +79,57 @@ def _batches(num_batches: int, batch_samples: int):
     return batches
 
 
-def _bench_ingest_overhead(spec, batches) -> tuple[list[dict], dict]:
-    """Bare sketcher vs durable wrapper over the identical stream."""
-    bare = spec.build_sketcher()
-    t0 = time.perf_counter()
-    for batch in batches:
-        bare.fit_sparse(iter(batch))
-    bare_seconds = time.perf_counter() - t0
+def _bench_ingest_overhead(spec, batches):
+    """Bare sketcher vs durable wrapper over the identical stream, timed
+    in pairs (:func:`timing.best_seconds`): every trial builds both fresh,
+    the durable one in a directory of its own, and times both."""
+    trials = 5
+    every = len(batches) // 4  # checkpoint cadence
+    scratch = TemporaryDirectory(prefix="bench-faults-")
+    durables = []
 
-    with TemporaryDirectory(prefix="bench-faults-") as scratch:
-        durable = DurableSketcher(
-            Path(scratch) / "wal", spec, checkpoint_every=len(batches) // 4
-        )
-        t0 = time.perf_counter()
+    def fresh_durable():
+        directory = Path(scratch.name) / f"wal-{len(durables)}"
+        durables.append(DurableSketcher(directory, spec, checkpoint_every=every))
+        return durables[-1]
+
+    def ingest(sketcher):
         for batch in batches:
-            durable.fit_sparse(batch)
-        durable_seconds = time.perf_counter() - t0
-        journal_bytes = durable.journal.bytes_written
-        durable.close()
+            sketcher.fit_sparse(batch)
 
-    overhead = durable_seconds / bare_seconds if bare_seconds > 0 else 1.0
+    try:
+        bare_seconds, durable_seconds = best_seconds(
+            (spec.build_sketcher, ingest),
+            (fresh_durable, ingest),
+            trials=trials,
+            inner=1,
+        )
+    finally:
+        for durable in durables:
+            durable.close()
+        scratch.cleanup()
+    journal = durables[-1].journal
+    journal_bytes_per_batch = journal.bytes_written / journal.records_written
+
     records = [
         {
             "op": "ingest_bare",
             "batches": len(batches),
+            "trials": trials,
             "seconds": bare_seconds,
         },
         {
             "op": "ingest_durable",
             "batches": len(batches),
+            "trials": trials,
             "seconds": durable_seconds,
-            "journal_bytes": journal_bytes,
-            "checkpoints": 4,
+            "journal_bytes": round(journal_bytes_per_batch * len(batches)),
+            "checkpoints": len(batches) // every,
         },
     ]
     headline = {
-        "ingest_overhead": overhead,
-        "journal_bytes_per_batch": journal_bytes / len(batches),
+        "ingest_overhead": durable_seconds / bare_seconds,
+        "journal_bytes_per_batch": journal_bytes_per_batch,
     }
     return records, headline
 

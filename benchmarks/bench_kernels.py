@@ -35,19 +35,18 @@ from pathlib import Path
 import numpy as np
 
 from registry import BenchSuite, register
+from timing import best_seconds
 from repro.core.estimator import SketchEstimator
 from repro.covariance import pipeline
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.covariance.updates import sparse_batch_pairs, validate_sparse_batch
 from repro.hashing.families import MultiTableHasher, make_family
 from repro.reference import (
-    LegacyCountMinSketch,
     LegacyCountSketch,
     LegacySparseMoments,
     LegacyTopKTracker,
     legacy_sparse_batch_pairs,
 )
-from repro.sketch.count_min import CountMinSketch
 from repro.sketch.base import ValueSketch
 from repro.sketch.count_sketch import CountSketch
 import repro.sketch.kernels as kernels
@@ -59,41 +58,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The paper's table shape: K=5 tables, R=2^17 buckets (Table 2 regime).
 NUM_TABLES = 5
 NUM_BUCKETS = 1 << 17
-
-
-def _best_seconds(*sides, trials: int, inner: int) -> list[float]:
-    """Best-of-``trials`` mean seconds per call of each ``(make_state, op)``.
-
-    Every trial times every side, and the side that goes first rotates
-    from trial to trial, so a slow spell of a shared host falls on all
-    sides of a record instead of on whichever ran through it.
-    ``make_state`` builds fresh state per trial so stateful ops (inserts,
-    tracker offers) do not drift across repetitions; ``inner`` amortises
-    the clock resolution for microsecond-scale ops.
-    """
-    # Auto-calibrate each side's inner loop so a timed window spans >= ~2 ms:
-    # microsecond-scale kernels are otherwise dominated by timer jitter.
-    inners = []
-    for make_state, op in sides:
-        probe_state = make_state()
-        op(probe_state)
-        t0 = time.perf_counter()
-        op(probe_state)
-        probe = time.perf_counter() - t0
-        inners.append(max(inner, min(400, int(0.002 / max(probe, 1e-9)) + 1)))
-
-    best = [float("inf")] * len(sides)
-    for trial in range(trials):
-        for k in range(len(sides)):
-            i = (trial + k) % len(sides)
-            make_state, op = sides[i]
-            state = make_state()
-            op(state)  # warm the caches / lazy allocations
-            t0 = time.perf_counter()
-            for _ in range(inners[i]):
-                op(state)
-            best[i] = min(best[i], (time.perf_counter() - t0) / inners[i])
-    return best
 
 
 def _record(op, batch, legacy_s, fused_s, updates, **extra):
@@ -113,7 +77,7 @@ def _record(op, batch, legacy_s, fused_s, updates, **extra):
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def bench_count_sketch(results, *, batches, trials, inner, rng):
+def _bench_count_sketch(results, *, batches, trials, inner, rng):
     for n in batches:
         keys = rng.integers(0, 10**12, size=n).astype(np.int64)
         values = rng.standard_normal(n)
@@ -121,7 +85,7 @@ def bench_count_sketch(results, *, batches, trials, inner, rng):
         def insert(sk):
             sk.insert(keys, values)
 
-        legacy_s, fused_s = _best_seconds(
+        legacy_s, fused_s = best_seconds(
             (lambda: LegacyCountSketch(NUM_TABLES, NUM_BUCKETS, seed=1), insert),
             (lambda: CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1), insert),
             trials=trials,
@@ -133,7 +97,7 @@ def bench_count_sketch(results, *, batches, trials, inner, rng):
         fused = CountSketch(NUM_TABLES, NUM_BUCKETS, seed=1)
         legacy.insert(keys, values)
         fused.insert(keys, values)
-        legacy_s, fused_s = _best_seconds(
+        legacy_s, fused_s = best_seconds(
             (lambda: legacy, lambda sk: sk.query(keys)),
             (lambda: fused, lambda sk: sk.query(keys)),
             trials=trials,
@@ -142,41 +106,7 @@ def bench_count_sketch(results, *, batches, trials, inner, rng):
         results.append(_record("countsketch_query", n, legacy_s, fused_s, n))
 
 
-def bench_count_min(results, *, trials, inner, rng):
-    n = 16384
-    keys = rng.integers(0, 10**12, size=n).astype(np.int64)
-    values = np.abs(rng.standard_normal(n))
-    for conservative in (False, True):
-        legacy_s, fused_s = _best_seconds(
-            (
-                lambda: LegacyCountMinSketch(
-                    3, NUM_BUCKETS, seed=1, conservative=conservative
-                ),
-                lambda sk: sk.insert(keys, values),
-            ),
-            (
-                lambda: CountMinSketch(
-                    3, NUM_BUCKETS, seed=1, conservative=conservative
-                ),
-                lambda sk: sk.insert(keys, values),
-            ),
-            trials=trials,
-            inner=inner,
-        )
-        results.append(
-            _record(
-                "countmin_insert_conservative"
-                if conservative
-                else "countmin_insert",
-                n,
-                legacy_s,
-                fused_s,
-                n,
-            )
-        )
-
-
-def bench_hash_families(results, *, trials, inner, rng):
+def _bench_hash_families(results, *, trials, inner, rng):
     n = 65536
     keys = rng.integers(0, 10**12, size=n).astype(np.int64)
     seeds = list(range(NUM_TABLES))
@@ -188,7 +118,7 @@ def bench_hash_families(results, *, trials, inner, rng):
             for h in per_table:
                 h(keys)
 
-        legacy_s, fused_s = _best_seconds(
+        legacy_s, fused_s = best_seconds(
             (lambda: None, legacy_hash),
             (lambda: None, lambda _: hasher.buckets(keys)),
             trials=trials,
@@ -201,7 +131,7 @@ def bench_hash_families(results, *, trials, inner, rng):
         )
 
 
-def bench_tracker(results, *, trials, inner, rng):
+def _bench_tracker(results, *, trials, inner, rng):
     # Trillion-scale streaming: mostly-fresh keys per batch, capacity far
     # above the batch size — the regime table2-style retrieval runs in.
     n = 8192
@@ -219,7 +149,7 @@ def bench_tracker(results, *, trials, inner, rng):
         for keys, ests in stream:
             tr.offer(keys, ests)
 
-    legacy_s, fused_s = _best_seconds(
+    legacy_s, fused_s = best_seconds(
         (lambda: None, lambda _: offer_stream(lambda: LegacyTopKTracker(50_000))),
         (lambda: None, lambda _: offer_stream(lambda: TopKTracker(50_000))),
         trials=trials,
@@ -234,7 +164,7 @@ def bench_tracker(results, *, trials, inner, rng):
     # array-backed pool, best case for the dict).
     keys = rng.integers(0, 10**4, size=n).astype(np.int64)
     ests = rng.standard_normal(n)
-    legacy_s, fused_s = _best_seconds(
+    legacy_s, fused_s = best_seconds(
         (lambda: LegacyTopKTracker(2048), lambda tr: tr.offer(keys, ests)),
         (lambda: TopKTracker(2048), lambda tr: tr.offer(keys, ests)),
         trials=trials,
@@ -243,7 +173,7 @@ def bench_tracker(results, *, trials, inner, rng):
     results.append(_record("topk_offer_hot", n, legacy_s, fused_s, n))
 
 
-def bench_sparse_expansion(results, *, trials, inner, rng, num_samples):
+def _bench_sparse_expansion(results, *, trials, inner, rng, num_samples):
     dim = 10**7
     # Real URL/DNA streams have per-sample nnz variation, which also defeats
     # the per-m lru cache inside the legacy per-sample triu expansion.
@@ -254,7 +184,7 @@ def bench_sparse_expansion(results, *, trials, inner, rng, num_samples):
     val = rng.standard_normal(idx.size)
     pairs = int((lengths * (lengths - 1) // 2).sum())
 
-    legacy_s, fused_s = _best_seconds(
+    legacy_s, fused_s = best_seconds(
         (lambda: None, lambda _: legacy_sparse_batch_pairs(idx, val, lengths, dim)),
         (lambda: None, lambda _: sparse_batch_pairs(idx, val, lengths, dim)),
         trials=trials,
@@ -265,7 +195,7 @@ def bench_sparse_expansion(results, *, trials, inner, rng, num_samples):
     )
 
 
-def bench_sparse_pipeline(results, *, trials, rng, num_samples):
+def _bench_sparse_pipeline(results, *, trials, rng, num_samples):
     """End-to-end ``fit_sparse``: expansion + sketch ingest of the pair
     stream + candidate tracking, fused stack vs. the full legacy stack."""
     dim = 10**6
@@ -313,7 +243,7 @@ def bench_sparse_pipeline(results, *, trials, rng, num_samples):
     # Sanity: both stacks must leave the same counters behind.
     np.testing.assert_array_equal(run_fused().sketch.table, run_legacy().sketch.table)
 
-    legacy_s, fused_s = _best_seconds(
+    legacy_s, fused_s = best_seconds(
         (lambda: None, lambda _: run_legacy()),
         (lambda: None, lambda _: run_fused()),
         trials=trials,
@@ -342,7 +272,7 @@ ROUTE_TABLES = 5
 ROUTE_BUCKETS = 1 << 15
 
 
-def bench_route(results, *, trials, nnz_grid):
+def _bench_route(results, *, trials, nnz_grid):
     """Pair expansion vs the GEMM route on one batch as its samples overlap.
 
     Each point times both routes of ``CovarianceSketcher`` on the same
@@ -385,7 +315,7 @@ def bench_route(results, *, trials, nnz_grid):
         def gemm(sk):
             sk.insert(*sketcher._gemm_pair_updates(idx, val, lengths, union))
 
-        expand_s, gemm_s = _best_seconds(
+        expand_s, gemm_s = best_seconds(
             (sketch, expand), (sketch, gemm), trials=trials, inner=1
         )
         expanded = int((lengths * (lengths - 1)).sum()) // 2
@@ -428,7 +358,7 @@ GATE_BATCH = 29_000
 GATE_DOUBT = (0.01, 0.05, 0.30, 0.65)
 
 
-def bench_gate(results, *, trials, inner, rng):
+def _bench_gate(results, *, trials, inner, rng):
     """``CountSketch.gate`` against the default gate on one batch.
 
     The table holds 400k random updates.  Per level, ``tau`` is the
@@ -449,7 +379,7 @@ def bench_gate(results, *, trials, inner, rng):
         tau = float(np.quantile(top, 1.0 - doubt))
         mask, estimates = ValueSketch.gate(sketch, keys, tau)
         got_mask, got_estimates = sketch.gate(keys, tau)
-        query_s, gate_s = _best_seconds(
+        query_s, gate_s = best_seconds(
             (lambda: None, lambda _: ValueSketch.gate(sketch, keys, tau)),
             (lambda: None, lambda _: sketch.gate(keys, tau)),
             trials=trials,
@@ -488,7 +418,7 @@ def _pinned_kernels(backend):
         kernels._jit_module = compiled
 
 
-def bench_backends(results, *, batches, trials, inner, rng):
+def _bench_backends(results, *, batches, trials, inner, rng):
     """Kernel-backend axis: numpy vs numba on the same sketch hot paths.
 
     Each leg builds its sketches under :func:`_pinned_kernels`, so a host
@@ -525,7 +455,7 @@ def bench_backends(results, *, batches, trials, inner, rng):
             ],
         }
         for op, legs in sides.items():
-            timed = _best_seconds(*legs, trials=trials, inner=inner)
+            timed = best_seconds(*legs, trials=trials, inner=inner)
             for backend, seconds in zip(backends, timed):
                 results.append(
                     {
@@ -579,19 +509,18 @@ def run_benchmarks(smoke: bool = False) -> dict:
         pipeline_samples = 512
         route_nnz = (8, 16, 24, 32, 36, 40, 44, 48, 56, 64, 96, 128, 192, 256)
 
-    bench_count_sketch(results, batches=batches, trials=trials, inner=inner, rng=rng)
-    bench_count_min(results, trials=trials, inner=inner, rng=rng)
-    bench_hash_families(results, trials=trials, inner=inner, rng=rng)
-    bench_tracker(results, trials=trials, inner=inner, rng=rng)
-    bench_sparse_expansion(
+    _bench_count_sketch(results, batches=batches, trials=trials, inner=inner, rng=rng)
+    _bench_hash_families(results, trials=trials, inner=inner, rng=rng)
+    _bench_tracker(results, trials=trials, inner=inner, rng=rng)
+    _bench_sparse_expansion(
         results, trials=trials, inner=inner, rng=rng, num_samples=expansion_samples
     )
-    bench_sparse_pipeline(
+    _bench_sparse_pipeline(
         results, trials=max(2, trials // 2), rng=rng, num_samples=pipeline_samples
     )
-    bench_route(results, trials=trials, nnz_grid=route_nnz)
-    bench_gate(results, trials=trials, inner=inner, rng=rng)
-    bench_backends(results, batches=batches, trials=trials, inner=inner, rng=rng)
+    _bench_route(results, trials=trials, nnz_grid=route_nnz)
+    _bench_gate(results, trials=trials, inner=inner, rng=rng)
+    _bench_backends(results, batches=batches, trials=trials, inner=inner, rng=rng)
 
     def _speedup(op, batch=None):
         for rec in results:

@@ -6,11 +6,12 @@ wall time through pytest-benchmark.  Experiment benchmarks run exactly once
 (``pedantic(rounds=1)``): they are end-to-end reproductions, not micro
 kernels — timing variance across repeats is irrelevant next to the cost.
 
-Run with::
+Run from the repository root (``pytest.ini`` here collects ``bench_*``)::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
-Add ``-s`` to see the regenerated tables inline.
+``--benchmark-disable`` runs each check once untimed, as CI does; add
+``-s`` to see the regenerated tables inline.
 """
 
 from __future__ import annotations

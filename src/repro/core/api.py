@@ -9,7 +9,7 @@ full recipe (section 8.1):
 2. Algorithm 3 turns (``u``, ``sigma``, ``alpha``, sketch shape) into the
    exploration length ``T0`` and threshold slope ``theta``;
 3. one streaming pass feeds every sample through the chosen estimator
-   (``ascs``, ``cs``, ``asketch`` or ``coldfilter``);
+   (``ascs``, ``cs`` or ``asketch``);
 4. retrieval returns the top pairs with their estimates.
 
 For sparse streams too large for one process, :func:`fit_sparse_sharded`
@@ -35,7 +35,6 @@ from repro.core.schedule import ThresholdSchedule
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.hashing.pairs import num_pairs
 from repro.sketch.augmented import AugmentedSketch
-from repro.sketch.cold_filter import ColdFilterSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.theory.bounds import ProblemModel
 from repro.theory.planner import ASCSPlan, plan_hyperparameters
@@ -49,7 +48,7 @@ __all__ = [
     "sketch_correlations",
 ]
 
-METHODS = ("ascs", "cs", "asketch", "coldfilter")
+METHODS = ("ascs", "cs", "asketch")
 
 
 @dataclass
@@ -172,17 +171,15 @@ def build_estimator(
     two_sided: bool = False,
     observer=None,
     filter_capacity: int | None = None,
-    cold_threshold: float | None = None,
     storage: str = "float64",
     quantum: float | None = None,
 ) -> SketchEstimator:
-    """Construct any of the four comparable estimators at a common budget.
+    """Construct any of the three comparable estimators at a common budget.
 
     ``storage``/``quantum`` select the counter tier of the backing sketch
     (:mod:`repro.sketch.storage`): ``"int16"``/``"int32"`` fixed-point
     tables hold the same ``(K, R)`` shape at 2/4 bytes per counter and
-    widen exactly on saturation.  All four methods accept it (the Cold
-    Filter gate stays float — only its main sketch is quantized).
+    widen exactly on saturation.  All three methods accept it.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -201,35 +198,18 @@ def build_estimator(
     if method == "cs":
         sketch = CountSketch(num_tables, num_buckets, seed=seed, **tier)
         return SketchEstimator(sketch, total_samples, name="CS", **common)
-    if method == "asketch":
-        capacity = filter_capacity or max(32, num_buckets // 64)
-        # Charge the filter against the budget so comparisons stay fair.
-        buckets = max(1, num_buckets - (2 * capacity) // num_tables)
-        sketch = AugmentedSketch(
-            num_tables,
-            buckets,
-            filter_capacity=capacity,
-            seed=seed,
-            two_sided=two_sided,
-            **tier,
-        )
-        return SketchEstimator(sketch, total_samples, name="ASketch", **common)
-    # coldfilter
-    threshold = cold_threshold if cold_threshold is not None else 1.0 / total_samples
-    gate_tables = 3
-    gate_buckets = num_buckets
-    # The gate's quarter-width counters are charged at R/4 floats.
-    main_buckets = max(1, num_buckets - gate_buckets // (4 * num_tables))
-    sketch = ColdFilterSketch(
+    capacity = filter_capacity or max(32, num_buckets // 64)
+    # Charge the filter against the budget so comparisons stay fair.
+    buckets = max(1, num_buckets - (2 * capacity) // num_tables)
+    sketch = AugmentedSketch(
         num_tables,
-        main_buckets,
-        filter_buckets=gate_buckets,
-        filter_tables=gate_tables,
-        threshold=threshold,
+        buckets,
+        filter_capacity=capacity,
         seed=seed,
+        two_sided=two_sided,
         **tier,
     )
-    return SketchEstimator(sketch, total_samples, name="ColdFilter", **common)
+    return SketchEstimator(sketch, total_samples, name="ASketch", **common)
 
 
 def fit_sparse_sharded(samples, dim: int, **kwargs):
@@ -307,7 +287,7 @@ def sketch_correlations(
         Total sketch budget ``M``; the paper's recipe ``R = M / K`` sizes
         the tables.
     method:
-        ``"ascs"`` (default), ``"cs"``, ``"asketch"`` or ``"coldfilter"``.
+        ``"ascs"`` (default), ``"cs"`` or ``"asketch"``.
     alpha:
         Assumed fraction of signal pairs (Table 3 lists the paper's picks).
     u, sigma:

@@ -5,7 +5,7 @@ covariance pipeline (a key repeats within a batch when several samples
 share its pair), maintains the ``1/T`` scaling of Algorithms 1-2, tracks
 top candidates for trillion-scale retrieval, and exposes a uniform query
 interface.  :class:`SketchEstimator` is the ingest-everything behaviour
-(vanilla CS, ASketch, Cold Filter — anything satisfying
+(vanilla CS, ASketch — anything satisfying
 :class:`repro.sketch.ValueSketch`); ASCS subclasses it and overrides the
 acceptance rule.
 """
@@ -44,7 +44,7 @@ class SketchEstimator:
     ----------
     sketch:
         Backing :class:`repro.sketch.ValueSketch` (count sketch for the
-        vanilla baseline; ASketch / Cold Filter plug in unchanged).
+        vanilla baseline; ASketch plugs in unchanged).
     total_samples:
         ``T`` — stream length; updates are scaled by ``1/T`` as in
         Algorithm 1 so queries estimate the stream mean directly.

@@ -8,9 +8,8 @@ streams.  Responsibilities:
 * expand each batch of samples into covariance-entry updates (dense GEMM
   path or sparse pair-expansion path, section 5; ``fit_sparse`` picks the
   cheaper one per batch, see :func:`gemm_union`);
-* feed the updates to any streaming estimator (vanilla CS, ASCS, ASketch,
-  Cold Filter) through the uniform ``ingest(keys, values, num_samples)``
-  interface;
+* feed the updates to any streaming estimator (vanilla CS, ASCS, ASketch)
+  through the uniform ``ingest(keys, values, num_samples)`` interface;
 * convert retrieval results back from flat pair keys to ``(i, j)`` pairs.
 
 Batching is exact for the sketch content (linear sketches commute with
@@ -28,7 +27,8 @@ from repro.covariance.running import RunningMoments, SparseMoments
 from repro.covariance.updates import (
     InvalidBatchError,
     adjustment_matrix,
-    aggregate_pair_updates,
+    # Unused here; perfbench's tracer patches this name on this module.
+    aggregate_pair_updates,  # noqa: F401
     dense_batch_products,
     sparse_batch_pairs,
     triu_pair_values,
@@ -264,12 +264,8 @@ class CovarianceSketcher:
             # One fused kernel expands every sample's m*(m-1)/2 pairs at
             # once.  A key two samples share arrives once per sample: the
             # sketches are linear and the ASCS gate reads the pre-batch
-            # estimate, so only a sketch that acts on each occurrence's
-            # magnitude asks for per-key sums.
+            # estimate, so repeats need no per-key sums.
             keys, values = sparse_batch_pairs(all_idx, all_val, lengths, self.dim)
-            sketch = getattr(self.estimator, "sketch", None)
-            if getattr(sketch, "needs_key_sums", False):
-                keys, values = aggregate_pair_updates([keys], [values])
         else:
             keys, values = self._gemm_pair_updates(all_idx, all_val, lengths, union)
         self.estimator.ingest(keys, values, num_samples=b)

@@ -279,9 +279,9 @@ def aggregate_pair_updates(
     """Combine per-sample pair updates into unique (key, summed value) arrays.
 
     A linear sketch does not need this: inserting the per-key sums equals
-    inserting each update, up to summation order.  The pipeline calls it
-    only for sketches whose ``needs_key_sums`` is set (Cold Filter, whose
-    gate acts on each occurrence's magnitude).
+    inserting each update, up to summation order, so the pipeline hands
+    its sketches the expanded updates as they come.  The ingest-route
+    tests use it as the oracle for the GEMM route's per-key sums.
     """
     if not keys_list:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)

@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 #: Estimator methods whose state merges losslessly enough to shard.
-#: ASketch filters and Cold Filter gates hold order-dependent state, so the
-#: sharded driver rejects them (see ``ColdFilterSketch.merge``).  ``hcs``
+#: An ASketch filter holds order-dependent state, so the sharded driver
+#: rejects it (see ``AugmentedSketch.merge``).  ``hcs``
 #: (the hierarchical count sketch) merges exactly per level — its stacked
 #: table rides the same summation law as a flat table.
 MERGEABLE_METHODS = ("cs", "ascs", "hcs")
@@ -131,8 +131,8 @@ class ShardSpec:
         if self.method not in MERGEABLE_METHODS:
             raise ValueError(
                 f"sharded ingestion supports methods {MERGEABLE_METHODS}; "
-                f"got {self.method!r} (ASketch/Cold Filter state is "
-                "order-dependent and cannot merge)"
+                f"got {self.method!r} (ASketch state is order-dependent "
+                "and does not merge exactly)"
             )
         if self.method == "ascs":
             if self.schedule is None:

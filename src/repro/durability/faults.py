@@ -88,7 +88,10 @@ class FaultyFS:
         ingest circuit breaker.  :meth:`heal` models space being freed.
 
     ``bytes_written`` / ``crashed`` / ``disk_full_hits`` expose what
-    actually happened for assertions.
+    actually happened for assertions.  A crash closes every file this FS
+    opened for writing, as the OS does for a dead process, and discards
+    what their buffers still held: recovery sees exactly the bytes that
+    reached the OS, and nothing is left open for the garbage collector.
     """
 
     def __init__(
@@ -102,10 +105,12 @@ class FaultyFS:
         self.bytes_written = 0
         self.crashed = False
         self.disk_full_hits = 0
+        self._writers = []
 
     def __call__(self, path, mode: str = "r", *args, **kwargs):
         handle = open(path, mode, *args, **kwargs)
         if any(flag in mode for flag in ("w", "a", "+", "x")):
+            self._writers.append(handle)
             return _FaultyFile(handle, self)
         return handle
 
@@ -131,6 +136,10 @@ class FaultyFS:
                 and budget == self.kill_at_bytes
             ):
                 self.crashed = True
+                for writer in self._writers:
+                    # Closing the raw file first makes the buffered
+                    # wrapper's own close a no-op instead of a flush.
+                    getattr(writer, "raw", writer).close()
                 raise SimulatedCrash(
                     f"simulated process death after {self.bytes_written} "
                     "bytes (torn write on disk)"

@@ -21,7 +21,6 @@ from repro.sketch.base import ValueSketch, validate_batch
 
 __all__ = [
     "LegacyCountSketch",
-    "LegacyCountMinSketch",
     "LegacyTopKTracker",
     "LegacySparseMoments",
     "legacy_sparse_batch_pairs",
@@ -120,83 +119,6 @@ class LegacyCountSketch(ValueSketch):
             buckets = self._bucket_hashes[e](keys)
             estimates[e] = self.table[e, buckets] * self._sign_hashes[e](keys)
         return estimates
-
-    def reset(self) -> None:
-        self.table[:] = 0.0
-
-    @property
-    def memory_floats(self) -> int:
-        return self.num_tables * self.num_buckets
-
-
-class LegacyCountMinSketch(ValueSketch):
-    """Per-table-loop count-min: the pre-fusion implementation."""
-
-    def __init__(
-        self,
-        num_tables: int,
-        num_buckets: int,
-        *,
-        seed: int = 0,
-        family: str = "multiply-shift",
-        conservative: bool = False,
-        cap: float | None = None,
-        dtype=np.float64,
-    ):
-        self.num_tables = int(num_tables)
-        self.num_buckets = int(num_buckets)
-        self.seed = int(seed)
-        self.family = family
-        self.conservative = bool(conservative)
-        self.cap = None if cap is None else float(cap)
-        self.table = np.zeros((self.num_tables, self.num_buckets), dtype=dtype)
-        seq = np.random.SeedSequence(self.seed)
-        children = seq.spawn(self.num_tables)
-        self._bucket_hashes = [
-            make_family(
-                family, self.num_buckets, int(children[e].generate_state(1)[0])
-            )
-            for e in range(self.num_tables)
-        ]
-
-    def _buckets(self, keys: np.ndarray) -> np.ndarray:
-        out = np.empty((self.num_tables, keys.size), dtype=np.int64)
-        for e in range(self.num_tables):
-            out[e] = self._bucket_hashes[e](keys)
-        return out
-
-    def insert(self, keys, values) -> None:
-        keys, values = validate_batch(keys, values)
-        if keys.size == 0:
-            return
-        if (values < 0).any():
-            raise ValueError("CountMinSketch accepts non-negative values only")
-        if self.conservative:
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=values, minlength=uniq.size)
-            ub = self._buckets(uniq)
-            current = np.min(
-                self.table[np.arange(self.num_tables)[:, None], ub], axis=0
-            )
-            target = current + sums
-            for e in range(self.num_tables):
-                np.maximum.at(self.table[e], ub[e], target)
-        else:
-            buckets = self._buckets(keys)
-            for e in range(self.num_tables):
-                self.table[e] += np.bincount(
-                    buckets[e], weights=values, minlength=self.num_buckets
-                ).astype(self.table.dtype, copy=False)
-        if self.cap is not None:
-            np.minimum(self.table, self.cap, out=self.table)
-
-    def query(self, keys) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return np.empty(0, dtype=np.float64)
-        buckets = self._buckets(keys)
-        gathered = self.table[np.arange(self.num_tables)[:, None], buckets]
-        return np.min(gathered, axis=0).astype(np.float64)
 
     def reset(self) -> None:
         self.table[:] = 0.0

@@ -1,9 +1,7 @@
-"""Sketch substrate: count sketch, count-min, baselines and top-k tracking."""
+"""Sketch substrate: count sketch, baselines and top-k tracking."""
 
 from repro.sketch.augmented import AugmentedSketch
 from repro.sketch.base import ValueSketch
-from repro.sketch.cold_filter import ColdFilterSketch
-from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.decay import DecayedSketch, decay_from_half_life
 from repro.sketch.hierarchical import HierarchicalCountSketch
@@ -20,8 +18,6 @@ from repro.sketch.topk import TopKTracker, scan_top_keys
 __all__ = [
     "AugmentedSketch",
     "CapacityPlan",
-    "ColdFilterSketch",
-    "CountMinSketch",
     "CountSketch",
     "CounterStore",
     "DEFAULT_QUANTUM",

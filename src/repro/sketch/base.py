@@ -128,13 +128,6 @@ def validate_batch(keys, values) -> tuple[np.ndarray, np.ndarray]:
 class ValueSketch(abc.ABC):
     """Abstract base class for mergeable real-valued sketches."""
 
-    #: Whether ``insert`` must see each key at most once per batch, with
-    #: its values summed.  Linear sketches add repeats exactly as they
-    #: add sums, so the covariance pipeline hands them a batch's pair
-    #: updates as they come; a sketch whose insert acts on each
-    #: occurrence's magnitude sets this and gets per-key sums.
-    needs_key_sums = False
-
     @abc.abstractmethod
     def insert(self, keys, values) -> None:
         """Accumulate ``values[n]`` under ``keys[n]`` for every ``n``."""

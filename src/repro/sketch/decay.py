@@ -3,7 +3,7 @@
 Streaming covariance over an unbounded stream must forget: without decay a
 sketch converges to the all-time average and a drifted workload keeps being
 answered from stale mass.  :class:`DecayedSketch` wraps any linear value
-sketch (:class:`repro.sketch.CountSketch`, :class:`~repro.sketch.CountMinSketch`,
+sketch (:class:`repro.sketch.CountSketch`,
 :class:`~repro.sketch.AugmentedSketch`) with exponential decay at **O(1) per
 tick**:
 
@@ -72,9 +72,7 @@ class DecayedSketch:
     ----------
     sketch:
         The backing :class:`~repro.sketch.base.ValueSketch`.  Must be
-        linear in its stored values (CS, CMS, ASketch); a capped
-        :class:`~repro.sketch.CountMinSketch` is rejected because the cap
-        is expressed in stored (pre-decay) units and would drift.
+        linear in its stored values (CS, ASketch).
     gamma:
         Per-tick decay factor in ``(0, 1]``.  ``1.0`` disables decay (the
         wrapper becomes a transparent pass-through).
@@ -89,11 +87,6 @@ class DecayedSketch:
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
         if not 0.0 < flush_below < 1.0:
             raise ValueError(f"flush_below must be in (0, 1), got {flush_below}")
-        if getattr(sketch, "cap", None) is not None:
-            raise ValueError(
-                "cannot decay a capped CountMinSketch: the cap is applied in "
-                "stored units and would no longer bound the decayed value"
-            )
         backing = getattr(sketch, "sketch", sketch)  # unwrap ASketch
         if gamma < 1.0 and getattr(backing, "quantum", None) is not None:
             # Stored magnitudes grow like 1/scale between flushes (inserts

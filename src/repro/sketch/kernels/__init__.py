@@ -17,9 +17,7 @@ that knows which one runs:
   results are bit-identical to the numpy path (the equivalence tests pin
   them against a ``CountSketch`` pinned to numpy, and the conformance
   suite re-runs every sketch kind per backend).  ``insert_and_query`` is
-  those two kernel calls.  Count-min runs on numpy everywhere: the only
-  count-min the system builds on its own is Cold Filter's conservative
-  gate, which is a numpy pass by nature.
+  those two kernel calls.
 
 Which kernels run
 -----------------

@@ -21,9 +21,6 @@ the numpy path :class:`repro.sketch.CountSketch` runs:
   ties keep the first operand).
 
 ``CountSketch.insert_and_query`` is ``cs_insert`` then ``cs_query``.
-Count-min compiles nothing: the only count-min the system builds on its
-own is Cold Filter's conservative gate, whose clamp is a numpy pass, so
-no workload would run a compiled count-min leg.
 
 No ``fastmath`` (it would license reassociation and break bit-identity)
 and no ``parallel`` (ordered accumulation is part of the contract);

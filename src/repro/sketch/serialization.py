@@ -21,9 +21,9 @@ type test, an encoder and a decoder, plus the conformance metadata the
 registry-wide test suite (``tests/test_conformance.py``) consumes — an
 example factory and a declared merge law, so every kind registered here is
 automatically held to the save/load, freeze and merge contracts.  The
-built-in kinds are ``count-sketch``, ``count-min``, ``augmented`` and
-``decayed`` (the :class:`repro.sketch.DecayedSketch` wrapper, which nests
-its backing sketch's arrays under an ``inner_`` prefix).  Higher layers —
+built-in kinds are ``count-sketch``, ``augmented``, ``decayed`` (the
+:class:`repro.sketch.DecayedSketch` wrapper, which nests its backing
+sketch's arrays under an ``inner_`` prefix) and ``hierarchical``.  Higher layers —
 sliding-window pane persistence, serving snapshots — write through the same
 registry, so a new sketch kind becomes persistable everywhere (and
 conformance-tested) by registering once.
@@ -34,10 +34,6 @@ without copying — the zero-copy mmap path: hand them a read-only
 (:func:`repro.durability.integrity.read_npz` with ``mmap=True``) and the
 rebuilt sketch serves queries straight from the page cache, with writes
 rejected by the frozen-table guard.
-
-``ColdFilterSketch`` is deliberately unsupported: its conservative-update
-gate is order-dependent state that cannot be reconstructed faithfully from
-counters alone (the same reason it refuses to merge).
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import numpy as np
 
 from repro.durability.integrity import read_npz, write_npz
 from repro.sketch.augmented import AugmentedSketch
-from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.decay import DecayedSketch
 from repro.sketch.hierarchical import HierarchicalCountSketch
@@ -168,8 +163,7 @@ def _kind_of(sketch) -> KindSpec:
     supported = ", ".join(spec.cls.__name__ for spec in _KINDS.values())
     raise TypeError(
         f"cannot serialise {type(sketch).__name__}; supported sketch kinds "
-        f"are: {supported} (ColdFilterSketch holds order-dependent "
-        "gate state that counters cannot reconstruct)"
+        f"are: {supported}"
     )
 
 
@@ -243,35 +237,6 @@ def _count_sketch_from_arrays(data, *, copy: bool = True) -> CountSketch:
         int(data["num_buckets"]),
         seed=int(data["seed"]),
         family=str(data["family"]),
-        dtype=table.dtype,
-        quantum=_quantum_from(data),
-    )
-    if copy:
-        sketch.table[:] = table
-    else:
-        sketch._store.attach(table)
-    return sketch
-
-
-def _count_min_to_arrays(sketch: CountMinSketch) -> dict:
-    out = _table_arrays(sketch)
-    out["conservative"] = np.asarray(sketch.conservative)
-    out["cap"] = np.asarray(
-        np.nan if sketch.cap is None else sketch.cap, dtype=np.float64
-    )
-    return out
-
-
-def _count_min_from_arrays(data, *, copy: bool = True) -> CountMinSketch:
-    table = np.asarray(data["table"]) if copy else data["table"]
-    cap = float(data["cap"])
-    sketch = CountMinSketch(
-        int(data["num_tables"]),
-        int(data["num_buckets"]),
-        seed=int(data["seed"]),
-        family=str(data["family"]),
-        conservative=bool(data["conservative"]),
-        cap=None if np.isnan(cap) else cap,
         dtype=table.dtype,
         quantum=_quantum_from(data),
     )
@@ -411,13 +376,6 @@ register_kind(
     to_arrays=_count_sketch_to_arrays,
     from_arrays=_count_sketch_from_arrays,
     make=lambda seed: CountSketch(3, 256, seed=seed),
-)
-register_kind(
-    "count-min",
-    cls=CountMinSketch,
-    to_arrays=_count_min_to_arrays,
-    from_arrays=_count_min_from_arrays,
-    make=lambda seed: CountMinSketch(3, 256, seed=seed),
 )
 register_kind(
     "augmented",

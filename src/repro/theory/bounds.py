@@ -169,6 +169,11 @@ def theorem2_escape_probability(
         raise ValueError(f"theta must be in [0, u={model.u}), got {theta}")
     if t0 <= 0:
         return 1.0
+    if math.isinf(tau0):
+        # The limit either way: the Phi factor's log falls quadratically in
+        # tau0 and the exp factor's log grows only linearly.  At +inf the
+        # log-space sum below would read inf - inf.
+        return 0.0
     from scipy.special import log_ndtr
 
     om2 = omega_squared(model)

@@ -17,17 +17,25 @@ Auto-parametrized over the serialisation kind registry
 * **insert/query vs reference** — estimates of isolated keys in a wide
   table recover the inserted mass.
 
+Every contract that holds one sketch also runs on each kind's example
+rebuilt at the other counter storage tiers (``count-sketch@int16``): the
+quantized tier claims to drop into the system unchanged, so it answers to
+the same net.
+
 A kind registered without conformance metadata (no example factory, or an
 undeclared merge law) fails loudly here instead of silently escaping the
-net.  ``ColdFilterSketch`` — deliberately *not* registered — is pinned at
-the bottom: it must keep declaring both non-serializability and
-non-mergeability with a reason.
+net.
 """
 
 import numpy as np
 import pytest
 
-from repro.sketch.cold_filter import ColdFilterSketch
+from repro.sketch import (
+    AugmentedSketch,
+    CountSketch,
+    DecayedSketch,
+    HierarchicalCountSketch,
+)
 from repro.sketch.kernels import available_backends
 from repro.sketch.serialization import (
     MERGE_LAWS,
@@ -40,6 +48,40 @@ from repro.sketch.serialization import (
 
 KINDS = kind_registry()
 BACKENDS = available_backends()
+
+#: Each registry example, built on the counter storage given as keywords
+#: (``TestStorageTiers`` pins the default build to the registry's).
+STORED = {
+    "count-sketch": lambda seed, **storage: CountSketch(3, 256, seed=seed, **storage),
+    "augmented": lambda seed, **storage: AugmentedSketch(
+        3, 256, filter_capacity=8, seed=seed, exchange_every=2, **storage
+    ),
+    "decayed": lambda seed, **storage: DecayedSketch(
+        CountSketch(3, 256, seed=seed, **storage), 0.5
+    ),
+    "hierarchical": lambda seed, **storage: HierarchicalCountSketch(
+        3, 256, key_space=5000, branching=8, levels=3, seed=seed, **storage
+    ),
+}
+
+#: The non-default storage tiers.  At a quarter quantum the integral
+#: streams quantize exactly and their counters stay inside int16.
+TIERS = {
+    "float32": {"dtype": "float32"},
+    "int16": {"dtype": "int16", "quantum": 0.25},
+}
+
+#: (kind, tier) pairs the kind refuses to build: decay cannot run on
+#: fixed-point counters.
+REFUSED = {("decayed", "int16")}
+
+#: The registry examples, then each at every tier it accepts.
+CASES = sorted(KINDS) + [
+    f"{name}@{tier}"
+    for name in sorted(STORED)
+    for tier in TIERS
+    if (name, tier) not in REFUSED
+]
 
 
 @pytest.fixture(params=BACKENDS, autouse=True)
@@ -55,7 +97,12 @@ def kernel_backend(request, pin_kernels):
     return request.param
 
 
-def _make(name, seed=0):
+def _spec(case):
+    return KINDS[case.partition("@")[0]]
+
+
+def _make(case, seed=0):
+    name, _, tier = case.partition("@")
     spec = KINDS[name]
     if spec.make is None:
         pytest.fail(
@@ -63,12 +110,14 @@ def _make(name, seed=0):
             "register_kind(..., make=...) so the conformance suite can "
             "exercise it"
         )
+    if tier:
+        return STORED[name](seed, **TIERS[tier])
     return spec.make(seed)
 
 
 def _stream(rng, n=600, key_space=5000, integral=False):
-    """(keys, values) usable by every kind: positive (count-min-safe) and
-    optionally integer-valued (exactly representable partial sums, the
+    """(keys, values) usable by every kind: positive and optionally
+    integer-valued (exactly representable partial sums, the
     precondition for bit-for-bit merge laws)."""
     keys = rng.integers(0, key_space, size=n)
     if integral:
@@ -120,8 +169,30 @@ class TestRegistryMetadata:
         assert type(_make(name)) is KINDS[name].cls
 
 
-class TestSaveLoadBitIdentity:
+class TestStorageTiers:
+    """The tier cases rebuild each example through ``STORED``; a kind
+    missing there, or built differently there, would escape the tiers."""
+
     @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_stored_factory_builds_the_registry_example(self, name, rng):
+        assert name in STORED, (
+            f"kind {name!r} has no STORED factory; add one so the storage "
+            "tier cases exercise it"
+        )
+        stored, example = STORED[name](3), _make(name, seed=3)
+        keys, values = _stream(rng)
+        _insert_stream(stored, keys, values)
+        _insert_stream(example, keys, values)
+        _assert_state_equal(stored, example)
+
+    @pytest.mark.parametrize(("name", "tier"), sorted(REFUSED))
+    def test_left_out_tiers_are_refused(self, name, tier):
+        with pytest.raises(ValueError, match="quantized"):
+            STORED[name](0, **TIERS[tier])
+
+
+class TestSaveLoadBitIdentity:
+    @pytest.mark.parametrize("name", CASES)
     def test_file_round_trip(self, name, rng, tmp_path):
         sketch = _make(name, seed=3)
         _insert_stream(sketch, *_stream(rng))
@@ -132,14 +203,14 @@ class TestSaveLoadBitIdentity:
         probe = rng.integers(0, 5000, size=400)
         np.testing.assert_array_equal(loaded.query(probe), sketch.query(probe))
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_array_round_trip(self, name, rng):
         sketch = _make(name, seed=5)
         _insert_stream(sketch, *_stream(rng))
         rebuilt = sketch_from_arrays(sketch_to_arrays(sketch))
         _assert_state_equal(rebuilt, sketch)
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_loaded_sketch_ingests_identically(self, name, rng, tmp_path):
         sketch = _make(name, seed=7)
         keys, values = _stream(rng)
@@ -155,7 +226,7 @@ class TestSaveLoadBitIdentity:
 
 
 class TestFreezeImmutability:
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_freeze_blocks_writes_preserves_reads(self, name, rng):
         sketch = _make(name, seed=11)
         keys, values = _stream(rng)
@@ -172,7 +243,7 @@ class TestFreezeImmutability:
         # The failed insert must not have half-mutated anything.
         np.testing.assert_array_equal(sketch.query(probe), before)
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_frozen_reset_raises(self, name, rng):
         sketch = _make(name, seed=13)
         _insert_stream(sketch, *_stream(rng))
@@ -199,9 +270,9 @@ class TestMergeLaw:
         _insert_stream(one_shot, keys, values)
         return shards, one_shot
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_declared_merge_law_holds(self, name, rng):
-        spec = KINDS[name]
+        spec = _spec(name)
         if spec.merge_law == "unsupported":
             a, b = _make(name, seed=17), _make(name, seed=17)
             with pytest.raises(ValueError) as excinfo:
@@ -241,10 +312,10 @@ class TestMergeLaw:
                     f"{got} vs {3 * mass}"
                 )
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_random_split_counts(self, name, rng):
         """Merge law must hold for any shard count, not just 3."""
-        spec = KINDS[name]
+        spec = _spec(name)
         if spec.merge_law != "exact":
             pytest.skip("random-split sweep applies to exact merge laws")
         for num_shards in (2, 4, 6):
@@ -321,7 +392,7 @@ class TestCorruptionDetection:
         save_sketch(sketch, str(path))
         return path
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_truncated_file_raises_clean_error(self, name, rng, tmp_path):
         from repro.durability import IntegrityError
         from repro.durability.faults import truncate_file
@@ -332,7 +403,7 @@ class TestCorruptionDetection:
             load_sketch(str(path))
         assert str(path) in str(excinfo.value)  # names the file
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_flipped_byte_raises_clean_error(self, name, rng, tmp_path):
         from repro.durability import IntegrityError
         from repro.durability.faults import flip_byte
@@ -345,7 +416,7 @@ class TestCorruptionDetection:
             load_sketch(str(path))
         assert str(path) in str(excinfo.value)
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_corrupt_table_caught_even_with_mmap(self, name, rng, tmp_path):
         """The lazy-verify mmap path must still catch table corruption
         when table verification is requested."""
@@ -375,7 +446,7 @@ class TestCrossBackendBitIdentity:
         _insert_stream(sketch, *_stream(rng))
         return sketch
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_insert_and_query_identical(self, name, pin_kernels):
         probe = np.random.default_rng(778).integers(0, 5000, size=400)
         sketches = [
@@ -387,9 +458,9 @@ class TestCrossBackendBitIdentity:
             _assert_state_equal(other, reference)
             np.testing.assert_array_equal(other.query(probe), expected)
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_combined_insert_and_query_identical(self, name, pin_kernels):
-        if not hasattr(KINDS[name].cls, "insert_and_query"):
+        if not hasattr(_spec(name).cls, "insert_and_query"):
             pytest.skip(f"kind {name!r} has no combined insert_and_query")
         live_rng = np.random.default_rng(555)
         live_keys, live_values = _stream(live_rng, n=300)
@@ -402,9 +473,9 @@ class TestCrossBackendBitIdentity:
             np.testing.assert_array_equal(estimates, outputs[0])
             _assert_state_equal(sketch, sketches[0])
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
+    @pytest.mark.parametrize("name", CASES)
     def test_merged_state_identical(self, name, pin_kernels):
-        if KINDS[name].merge_law == "unsupported":
+        if _spec(name).merge_law == "unsupported":
             pytest.skip(f"kind {name!r} declares merging unsupported")
         merged = []
         for backend in BACKENDS:
@@ -418,22 +489,3 @@ class TestCrossBackendBitIdentity:
             merged.append(a.merge(b))
         for other in merged[1:]:
             _assert_state_equal(other, merged[0])
-
-
-class TestColdFilterDeclares:
-    """Not registered — but it must *declare* both exclusions, not fail
-    silently (the conformance contract for non-participating kinds)."""
-
-    def test_not_serializable_with_reason(self, tmp_path):
-        gate = ColdFilterSketch(3, 64, threshold=0.5)
-        with pytest.raises(TypeError, match="order-dependent"):
-            save_sketch(gate, str(tmp_path / "cf.npz"))
-
-    def test_not_mergeable_with_reason(self):
-        a = ColdFilterSketch(3, 64, threshold=0.5)
-        b = ColdFilterSketch(3, 64, threshold=0.5)
-        with pytest.raises(ValueError, match="cannot merge"):
-            a.merge(b)
-
-    def test_not_registered(self):
-        assert all(spec.cls is not ColdFilterSketch for spec in KINDS.values())

@@ -395,6 +395,17 @@ class TestIngestJournal:
         # the torn ENOSPC record does not.
         assert len(list(replay_journal(tmp_path))) == appended + 1
 
+    def test_crash_closes_writers_and_loses_their_buffers(self, tmp_path):
+        fs = FaultyFS(kill_at_bytes=10)
+        buffered = fs(tmp_path / "buffered.bin", "wb")
+        buffered.write(b"lost")  # still in the process's buffer
+        torn = fs(tmp_path / "torn.bin", "wb")
+        with pytest.raises(SimulatedCrash):
+            torn.write(b"0123456789")
+        assert buffered.closed and torn.closed
+        assert (tmp_path / "buffered.bin").read_bytes() == b""
+        assert (tmp_path / "torn.bin").read_bytes() == b"012345"
+
     def test_validates_parameters(self, tmp_path):
         with pytest.raises(ValueError, match="rotate_every"):
             IngestJournal(tmp_path, rotate_every=0)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.sketch import (
     AugmentedSketch,
-    CountMinSketch,
     CountSketch,
     DecayedSketch,
     decay_from_half_life,
@@ -127,26 +126,12 @@ class TestDecaySemantics:
             DecayedSketch(CountSketch(3, 64), 1.5)
         with pytest.raises(ValueError, match="num_ticks"):
             _fresh().tick(-1)
-        with pytest.raises(ValueError, match="cap"):
-            DecayedSketch(CountMinSketch(3, 64, cap=10.0), 0.5)
         assert decay_from_half_life(1.0) == 0.5
         with pytest.raises(ValueError, match="half_life"):
             decay_from_half_life(0.0)
 
 
 class TestBackingKinds:
-    def test_count_min_backing(self, rng):
-        keys = rng.integers(0, 10**6, size=300).astype(np.int64)
-        values = rng.integers(0, 9, size=300).astype(np.float64)
-        decayed = DecayedSketch(CountMinSketch(4, 1024, seed=2), 0.5)
-        plain = CountMinSketch(4, 1024, seed=2)
-        decayed.insert(keys, values)
-        plain.insert(keys, values)
-        decayed.tick(2)
-        np.testing.assert_array_equal(
-            decayed.query(keys), plain.query(keys) * 0.25
-        )
-
     def test_augmented_backing_filter_decays_too(self):
         inner = AugmentedSketch(3, 512, filter_capacity=4, seed=3)
         decayed = DecayedSketch(inner, 0.5)

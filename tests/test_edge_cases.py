@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.api import build_estimator
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.core.estimator import SketchEstimator
 from repro.data.streams import ShuffleBuffer, SparseSample
@@ -42,28 +41,6 @@ class TestCorrelationWithRunningCentering:
         got = sk.estimate_keys(keys)
         assert np.isfinite(got).all()
         assert np.abs(got).max() <= 1.5  # correlation-scale values
-
-
-class TestColdFilterEstimatorIntegration:
-    def test_explicit_threshold(self):
-        est = build_estimator(
-            "coldfilter", 100, 5, 1000, cold_threshold=0.25, seed=1
-        )
-        assert est.sketch.threshold == 0.25
-
-    def test_default_threshold_scales_with_t(self):
-        est = build_estimator("coldfilter", 200, 5, 1000, seed=1)
-        assert est.sketch.threshold == pytest.approx(1.0 / 200)
-
-    def test_end_to_end_on_planted_data(self, rng):
-        d, n = 40, 1500
-        data = rng.standard_normal((n, d))
-        data[:, 5] = 0.9 * data[:, 2] + np.sqrt(1 - 0.81) * data[:, 5]
-        est = build_estimator("coldfilter", n, 5, 2000, seed=2)
-        sk = CovarianceSketcher(d, est, mode="correlation", batch_size=50)
-        sk.fit_dense(data)
-        i, j, _ = sk.top_pairs(1, scan=True)
-        assert (int(i[0]), int(j[0])) == (2, 5)
 
 
 class TestAugmentedExchangeCadence:

@@ -16,14 +16,13 @@ from repro.core.schedule import ThresholdSchedule
 from repro.covariance.updates import sparse_batch_pairs, sparse_sample_pairs
 from repro.hashing.families import MultiTableHasher, SignHash, make_family
 from repro.reference import (
-    LegacyCountMinSketch,
     LegacyCountSketch,
     LegacyTopKTracker,
     legacy_sparse_batch_pairs,
 )
-from repro.sketch.count_min import CountMinSketch
 from repro.sketch.base import ValueSketch, scatter_add_flat
 from repro.sketch.count_sketch import CountSketch
+from repro.sketch.hierarchical import HierarchicalCountSketch
 from repro.sketch.kernels import available_backends, numba_available
 from repro.sketch.kernels.numpy_ref import apply_sign, median
 from repro.sketch.topk import TopKTracker
@@ -177,11 +176,18 @@ class TestCountSketchEquivalence:
         sk.reset()
         assert not sk._flat.any()
 
-    @pytest.mark.parametrize("cls", [CountSketch, CountMinSketch])
-    def test_pickle_rebuilds_flat_view(self, cls, kernel_leg, rng):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CountSketch(3, 256, seed=5),
+            lambda: HierarchicalCountSketch(3, 256, key_space=10**9, seed=5),
+        ],
+        ids=["CountSketch", "HierarchicalCountSketch"],
+    )
+    def test_pickle_rebuilds_flat_view(self, make, kernel_leg, rng):
         import pickle
 
-        sk = cls(3, 256, seed=5)
+        sk = make()
         keys = rng.integers(0, 10**9, size=100)
         values = np.abs(rng.standard_normal(100))
         sk.insert(keys, values)
@@ -333,36 +339,6 @@ class TestMedianKernel:
     def test_even_k_falls_back_to_average(self, k, rng):
         est = rng.standard_normal((k, 100))
         np.testing.assert_array_equal(median(est), np.median(est, axis=0))
-
-
-class TestCountMinEquivalence:
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("conservative", [False, True])
-    def test_insert_query_bit_identical(
-        self, family, conservative, kernel_leg, rng
-    ):
-        fused = CountMinSketch(
-            3, 512, seed=4, family=family, conservative=conservative
-        )
-        legacy = LegacyCountMinSketch(
-            3, 512, seed=4, family=family, conservative=conservative
-        )
-        for keys, values in _key_batches(rng):
-            fused.insert(keys, np.abs(values))
-            legacy.insert(keys, np.abs(values))
-        np.testing.assert_array_equal(fused.table, legacy.table)
-        probe = rng.integers(0, 10**12, size=333).astype(np.int64)
-        np.testing.assert_array_equal(fused.query(probe), legacy.query(probe))
-
-    def test_capped_conservative_matches(self, rng):
-        fused = CountMinSketch(2, 128, seed=2, conservative=True, cap=3.0)
-        legacy = LegacyCountMinSketch(2, 128, seed=2, conservative=True, cap=3.0)
-        for _ in range(5):
-            keys = rng.integers(0, 500, size=200)
-            values = np.abs(rng.standard_normal(200))
-            fused.insert(keys, values)
-            legacy.insert(keys, values)
-        np.testing.assert_array_equal(fused.table, legacy.table)
 
 
 # ----------------------------------------------------------------------

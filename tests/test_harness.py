@@ -37,7 +37,7 @@ class TestRankAllPairs:
 
 
 class TestRunMethod:
-    @pytest.mark.parametrize("method", ["cs", "ascs", "asketch", "coldfilter"])
+    @pytest.mark.parametrize("method", ["cs", "ascs", "asketch"])
     def test_all_methods_run(self, small_dense, method):
         _, data = small_dense
         run = run_method(data, method, 3000, alpha=0.02, seed=1, batch_size=100)

@@ -14,8 +14,7 @@ streams sum exactly, which turns that bound into bit-identity.
 The expanded route's repeats are sound because the sketches are linear
 and the ASCS gate reads each key's pre-batch estimate:
 ``TestRepeatedPairsWithinABatch`` holds the sketch state to that of
-ingesting per-key sums, and Cold Filter, whose gate is not linear, to
-per-key sums exactly.
+ingesting per-key sums.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from repro.distributed import (
     merge_shard_results,
     sketch_shard,
 )
-from repro.sketch.cold_filter import ColdFilterSketch
-from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.hierarchical import HierarchicalCountSketch
 from repro.streaming import PaneRing
@@ -87,8 +84,6 @@ BATCHES = {
 
 def _estimator(kind):
     total = 4096
-    if kind == "cms":
-        return SketchEstimator(CountMinSketch(3, 256, seed=5), total, track_top=32)
     schedule = (64, 0.01, 0.1, total) if kind == "ascs" else None
     spec = ShardSpec(
         dim=DIM,
@@ -211,11 +206,9 @@ class TestDecision:
 
 class TestRouteEquivalence:
     @pytest.mark.parametrize("batch_kind", sorted(BATCHES))
-    @pytest.mark.parametrize("kind", ["cs", "cms", "ascs", "hcs"])
+    @pytest.mark.parametrize("kind", ["cs", "ascs", "hcs"])
     def test_same_keys_and_bounded_sums(self, kind, batch_kind, rng):
         batches = [BATCHES[batch_kind](rng) for _ in range(3)]
-        if kind == "cms":  # count-min sketches nonnegative mass
-            batches = [[(i, np.abs(v)) for i, v in batch] for batch in batches]
 
         def make():
             return CovarianceSketcher(
@@ -526,7 +519,6 @@ class TestRepeatedPairsWithinABatch:
             )
         sketches = {
             "cs": lambda: CountSketch(3, 256, seed=5),
-            "cms": lambda: CountMinSketch(3, 256, seed=5),
             "hcs": lambda: HierarchicalCountSketch(
                 3, 256, key_space=DIM * (DIM - 1) // 2, seed=5
             ),
@@ -556,12 +548,9 @@ class TestRepeatedPairsWithinABatch:
     def _gaussian(rng, size):
         return rng.standard_normal(size)
 
-    @pytest.mark.parametrize("kind", ["cs", "cms", "ascs", "hcs"])
+    @pytest.mark.parametrize("kind", ["cs", "ascs", "hcs"])
     def test_dyadic_values_give_bit_identical_state(self, kind, rng):
-        values = self._dyadic
-        if kind == "cms":  # count-min sketches nonnegative mass
-            values = lambda rng, size: np.abs(self._dyadic(rng, size))
-        ours, summed = self._run(kind, self._batches(rng, values))
+        ours, summed = self._run(kind, self._batches(rng, self._dyadic))
         for table, ref in zip(_tables(ours.sketch), _tables(summed.sketch)):
             np.testing.assert_array_equal(table, ref)
         assert ours.samples_seen == summed.samples_seen
@@ -605,29 +594,3 @@ class TestRepeatedPairsWithinABatch:
             assert dict(zip(keys.tolist(), estimates.tolist())) == dict(
                 zip(ref_keys.tolist(), ref_estimates.tolist())
             )
-
-    def test_cold_filter_gets_per_key_sums(self, rng):
-        """Cold Filter's gate is not linear in repeats, so the pipeline sums
-        them for it: its state equals a Cold Filter fed the per-key sums,
-        bit for bit, and differs from one fed the raw pair stream."""
-
-        def cold_filter():
-            sketch = ColdFilterSketch(3, 256, seed=5, threshold=0.02)
-            return SketchEstimator(sketch, self.TOTAL)
-
-        batches = self._batches(rng, self._gaussian)
-        sketcher = CovarianceSketcher(
-            DIM, cold_filter(), mode="covariance", batch_size=16
-        )
-        summed, raw = cold_filter(), cold_filter()
-        for batch in batches:
-            sketcher.fit_sparse(batch)
-            indices, values, lengths = validate_sparse_batch(batch, DIM)
-            keys, products = sparse_batch_pairs(indices, values, lengths, DIM)
-            raw.ingest(keys, products, num_samples=len(batch))
-            keys, sums = aggregate_pair_updates([keys], [products])
-            summed.ingest(keys, sums, num_samples=len(batch))
-        ours = sketcher.estimator.sketch
-        np.testing.assert_array_equal(ours.gate.table, summed.sketch.gate.table)
-        np.testing.assert_array_equal(ours.sketch.table, summed.sketch.sketch.table)
-        assert not np.array_equal(ours.sketch.table, raw.sketch.sketch.table)

@@ -37,8 +37,8 @@ from repro.durability.integrity import INTEGRITY_MEMBERS, write_npz
 from repro.obs.log import configure
 from repro.serving import ServingEstimator
 from repro.sketch import (
-    CountMinSketch,
     CountSketch,
+    HierarchicalCountSketch,
     available_backends,
     plan,
     resolve_backend,
@@ -224,23 +224,6 @@ class TestBitIdentityAcrossBackends:
                 np.testing.assert_array_equal(sk.table, reference[0])
                 np.testing.assert_array_equal(est, reference[1])
                 np.testing.assert_array_equal(live, reference[2])
-
-    def test_count_min_state_and_queries(self, pin_kernels):
-        rng = np.random.default_rng(12)
-        keys = rng.integers(0, 10**12, size=3000)
-        vals = np.abs(rng.standard_normal(3000))
-        probe = rng.integers(0, 10**12, size=512)
-        reference = None
-        for backend in available_backends():
-            pin_kernels(backend)
-            cm = CountMinSketch(3, 1024, seed=3)
-            cm.insert(keys, vals)
-            est = cm.query(probe)
-            if reference is None:
-                reference = (cm.table.copy(), est)
-            else:
-                np.testing.assert_array_equal(cm.table, reference[0])
-                np.testing.assert_array_equal(est, reference[1])
 
 
 class TestSnapshotsAreBackendFree:
@@ -475,9 +458,10 @@ class TestMemoryBytesReporting:
         for storage, itemsize in (("int16", 2), ("int32", 4), ("float64", 8)):
             sk = CountSketch(3, 128, dtype=storage, quantum=1e-3)
             assert sk.memory_bytes == 3 * 128 * itemsize
-            cm_kwargs = {} if storage == "float64" else {"quantum": 1e-3}
-            cm = CountMinSketch(3, 128, dtype=storage, **cm_kwargs)
-            assert cm.memory_bytes == 3 * 128 * itemsize
+            hcs = HierarchicalCountSketch(
+                3, 128, key_space=4096, levels=2, dtype=storage, quantum=1e-3
+            )
+            assert hcs.memory_bytes == 2 * 3 * 128 * itemsize
 
     def test_matches_plan_prediction(self):
         p = plan(n_features=1000, budget_mb=0.25)

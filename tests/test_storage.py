@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.sketch.base import reject_readonly_counters, scatter_add_flat
-from repro.sketch.count_min import CountMinSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.decay import DecayedSketch
 from repro.sketch.storage import DEFAULT_QUANTUM, CounterStore, resolve_storage
@@ -255,12 +254,6 @@ class TestFrozenAndGuards:
                 op()
         # Queries still work on the frozen store.
         assert store.gather(np.array([0]))[0] == 1.0
-
-    def test_conservative_and_cap_require_float(self):
-        with pytest.raises(ValueError, match="float counter storage"):
-            CountMinSketch(2, 8, conservative=True, dtype="int16")
-        with pytest.raises(ValueError, match="float counter storage"):
-            CountMinSketch(2, 8, cap=5.0, dtype="int32")
 
     def test_guard_rejects_readonly_mmap(self, tmp_path):
         path = tmp_path / "table.npy"
