@@ -40,7 +40,7 @@ from repro.core.estimator import SketchEstimator
 from repro.covariance import pipeline
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.covariance.updates import sparse_batch_pairs, validate_sparse_batch
-from repro.hashing.families import MultiTableHasher, make_family
+from repro.hashing.families import MultiplyShiftHash, MultiTableHasher, SignHash
 from repro.reference import (
     LegacyCountSketch,
     LegacySparseMoments,
@@ -106,29 +106,32 @@ def _bench_count_sketch(results, *, batches, trials, inner, rng):
         results.append(_record("countsketch_query", n, legacy_s, fused_s, n))
 
 
-def _bench_hash_families(results, *, trials, inner, rng):
+def _bench_hash(results, *, trials, inner, rng):
+    """Every table's bucket and sign hashes: one ``bucket_sign_u64``
+    broadcast against a :class:`MultiplyShiftHash` and a :class:`SignHash`
+    per table, the hashes ``LegacyCountSketch`` calls."""
     n = 65536
     keys = rng.integers(0, 10**12, size=n).astype(np.int64)
     seeds = list(range(NUM_TABLES))
-    for family in ("multiply-shift", "polynomial", "tabulation"):
-        per_table = [make_family(family, NUM_BUCKETS, s) for s in seeds]
-        hasher = MultiTableHasher(family, NUM_BUCKETS, seeds)
+    sign_seeds = list(range(NUM_TABLES, 2 * NUM_TABLES))
+    per_table = [
+        (MultiplyShiftHash(NUM_BUCKETS, s), SignHash(t))
+        for s, t in zip(seeds, sign_seeds)
+    ]
+    hasher = MultiTableHasher(NUM_BUCKETS, seeds, sign_seeds)
 
-        def legacy_hash(_):
-            for h in per_table:
-                h(keys)
+    def legacy_hash(_):
+        for bucket, sign in per_table:
+            bucket(keys)
+            sign(keys)
 
-        legacy_s, fused_s = best_seconds(
-            (lambda: None, legacy_hash),
-            (lambda: None, lambda _: hasher.buckets(keys)),
-            trials=trials,
-            inner=inner,
-        )
-        results.append(
-            _record(
-                f"hash_{family}", n, legacy_s, fused_s, n * NUM_TABLES
-            )
-        )
+    legacy_s, fused_s = best_seconds(
+        (lambda: None, legacy_hash),
+        (lambda: None, lambda _: hasher.bucket_sign_u64(keys)),
+        trials=trials,
+        inner=inner,
+    )
+    results.append(_record("hash", n, legacy_s, fused_s, n * NUM_TABLES))
 
 
 def _bench_tracker(results, *, trials, inner, rng):
@@ -510,7 +513,7 @@ def run_benchmarks(smoke: bool = False) -> dict:
         route_nnz = (8, 16, 24, 32, 36, 40, 44, 48, 56, 64, 96, 128, 192, 256)
 
     _bench_count_sketch(results, batches=batches, trials=trials, inner=inner, rng=rng)
-    _bench_hash_families(results, trials=trials, inner=inner, rng=rng)
+    _bench_hash(results, trials=trials, inner=inner, rng=rng)
     _bench_tracker(results, trials=trials, inner=inner, rng=rng)
     _bench_sparse_expansion(
         results, trials=trials, inner=inner, rng=rng, num_samples=expansion_samples

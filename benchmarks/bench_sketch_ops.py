@@ -2,13 +2,13 @@
 
 These are the inner loops that determine whether the trillion-scale
 streams of Table 2 are feasible: batched signed scatter-adds (insert),
-gather-plus-median (query) and the hash families themselves.
+gather-plus-median (query) and the multiply-shift hash itself.
 """
 
 import numpy as np
 import pytest
 
-from repro.hashing.families import make_family
+from repro.hashing.families import MultiplyShiftHash
 from repro.sketch.count_sketch import CountSketch
 
 BATCH = 100_000
@@ -22,10 +22,9 @@ def batch():
     return keys, values
 
 
-@pytest.mark.parametrize("family", ["multiply-shift", "polynomial", "tabulation"])
-def bench_hash_family(benchmark, family, batch):
+def bench_hash_family(benchmark, batch):
     keys, _ = batch
-    h = make_family(family, 1 << 20, seed=1)
+    h = MultiplyShiftHash(1 << 20, seed=1)
     benchmark(h, keys)
 
 

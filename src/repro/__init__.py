@@ -3,7 +3,7 @@
 Online one-pass sparse estimation of very large covariance/correlation
 matrices.  The package layers:
 
-* :mod:`repro.hashing` — pair-index algebra and universal hash families;
+* :mod:`repro.hashing` — pair-index algebra and multiply-shift hashing;
 * :mod:`repro.sketch` — count sketch, ASketch, top-k tracking;
 * :mod:`repro.covariance` — streaming moments, pair updates, the pipeline;
 * :mod:`repro.theory` — Theorems 1-3 and the Algorithm-3 planner;

@@ -81,11 +81,10 @@ class ActiveSamplingCountSketch(SketchEstimator):
         num_buckets: int,
         *,
         seed: int = 0,
-        family: str = "multiply-shift",
         **kwargs,
     ) -> "ActiveSamplingCountSketch":
         """Build an ASCS from a resolved :class:`repro.theory.ASCSPlan`."""
-        sketch = CountSketch(num_tables, num_buckets, seed=seed, family=family)
+        sketch = CountSketch(num_tables, num_buckets, seed=seed)
         schedule = ThresholdSchedule.from_plan(plan, total_samples)
         return cls(sketch, total_samples, schedule, **kwargs)
 
@@ -98,7 +97,6 @@ class ActiveSamplingCountSketch(SketchEstimator):
         delta: float | None = None,
         delta_star: float | None = None,
         seed: int = 0,
-        family: str = "multiply-shift",
         **kwargs,
     ) -> tuple["ActiveSamplingCountSketch", ASCSPlan]:
         """Run Algorithm 3 on ``model`` and build the resulting ASCS.
@@ -115,7 +113,6 @@ class ActiveSamplingCountSketch(SketchEstimator):
             model.num_tables,
             model.num_buckets,
             seed=seed,
-            family=family,
             **kwargs,
         )
         return est, plan

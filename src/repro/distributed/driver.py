@@ -171,7 +171,6 @@ def fit_sparse_sharded(
     num_tables: int = 5,
     num_buckets: int = 4096,
     seed: int = 0,
-    family: str = "multiply-shift",
     mode: str = "covariance",
     batch_size: int = 32,
     std_floor: float = 1e-6,
@@ -254,7 +253,6 @@ def fit_sparse_sharded(
         num_tables=num_tables,
         num_buckets=num_buckets,
         seed=seed,
-        family=family,
         mode=mode,
         batch_size=batch_size,
         std_floor=std_floor,

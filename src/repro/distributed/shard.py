@@ -41,6 +41,7 @@ from repro.core.estimator import SketchEstimator
 from repro.core.schedule import ThresholdSchedule
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.durability.integrity import read_npz, write_npz
+from repro.hashing.families import check_family
 from repro.hashing.pairs import num_pairs
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.hierarchical import HierarchicalCountSketch
@@ -89,7 +90,7 @@ class ShardSpec:
     schedule:
         ``(exploration_length, tau0, theta, total_samples)`` tuple for
         ``method="ascs"``; ``None`` for ``"cs"``.
-    num_tables, num_buckets, seed, family:
+    num_tables, num_buckets, seed:
         Backing :class:`repro.sketch.CountSketch` parameters.
     storage, quantum:
         Counter storage of the backing sketch (see
@@ -113,7 +114,6 @@ class ShardSpec:
     num_tables: int = 5
     num_buckets: int = 4096
     seed: int = 0
-    family: str = "multiply-shift"
     storage: str = "float64"
     quantum: float | None = None
     mode: str = "covariance"
@@ -172,7 +172,6 @@ class ShardSpec:
                 branching=self.branching,
                 levels=self.levels or None,
                 seed=self.seed,
-                family=self.family,
                 dtype=self.storage,
                 quantum=self.quantum,
             )
@@ -181,7 +180,6 @@ class ShardSpec:
                 self.num_tables,
                 self.num_buckets,
                 seed=self.seed,
-                family=self.family,
                 dtype=self.storage,
                 quantum=self.quantum,
             )
@@ -347,9 +345,17 @@ def spec_from_arrays(data, *, prefix: str = "spec_") -> ShardSpec:
     ``None``.  Only the spec's current fields are read.  Members missing
     from ``data`` keep their dataclass defaults, so files written before a
     spec field existed (e.g. pre-memory-tier shards with no
-    ``storage``/``quantum``) still load, and members of fields that no
-    longer exist (the ``spec_backend`` older files carry) are ignored.
+    ``storage``/``quantum``) still load.
+
+    Of the members older files carry for fields that no longer exist,
+    ``spec_backend`` is ignored: the kernel backend never changes a
+    counter.  ``spec_family`` cannot be: the persisted table was hashed
+    with that family, and rebuilding it with multiply-shift would give a
+    silently wrong sketch, so any other family raises ``ValueError``
+    (:func:`repro.hashing.check_family`).
     """
+    if prefix + "family" in data:
+        check_family(data[prefix + "family"])
     spec_kwargs = {}
     for f in fields(ShardSpec):
         member = prefix + f.name

@@ -1,15 +1,11 @@
-"""Hashing substrate: pair-index algebra and universal hash families."""
+"""Hashing substrate: pair-index algebra and multiply-shift hashing."""
 
 from repro.hashing.families import (
-    FAMILY_NAMES,
-    MERSENNE_PRIME_61,
-    HashFamily,
+    FAMILY,
     MultiplyShiftHash,
     MultiTableHasher,
-    PolynomialHash,
     SignHash,
-    TabulationHash,
-    make_family,
+    check_family,
 )
 from repro.hashing.pairs import (
     MAX_DIMENSION,
@@ -21,15 +17,11 @@ from repro.hashing.pairs import (
 )
 
 __all__ = [
-    "FAMILY_NAMES",
-    "MERSENNE_PRIME_61",
-    "HashFamily",
+    "FAMILY",
     "MultiplyShiftHash",
     "MultiTableHasher",
-    "PolynomialHash",
     "SignHash",
-    "TabulationHash",
-    "make_family",
+    "check_family",
     "MAX_DIMENSION",
     "all_pair_indices",
     "index_to_pair",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.covariance.updates import sparse_sample_pairs
-from repro.hashing.families import SignHash, make_family
+from repro.hashing.families import MultiplyShiftHash, SignHash
 from repro.sketch.base import ValueSketch, validate_batch
 
 __all__ = [
@@ -67,27 +67,22 @@ class LegacyCountSketch(ValueSketch):
         num_buckets: int,
         *,
         seed: int = 0,
-        family: str = "multiply-shift",
         dtype=np.float64,
     ):
         self.num_tables = int(num_tables)
         self.num_buckets = int(num_buckets)
         self.seed = int(seed)
-        self.family = family
         self.table = np.zeros((self.num_tables, self.num_buckets), dtype=dtype)
         seq = np.random.SeedSequence(self.seed)
         children = seq.spawn(2 * self.num_tables)
         self._bucket_hashes = [
-            make_family(
-                family, self.num_buckets, int(children[2 * e].generate_state(1)[0])
+            MultiplyShiftHash(
+                self.num_buckets, int(children[2 * e].generate_state(1)[0])
             )
             for e in range(self.num_tables)
         ]
         self._sign_hashes = [
-            SignHash(
-                int(children[2 * e + 1].generate_state(1)[0]),
-                family="multiply-shift",
-            )
+            SignHash(int(children[2 * e + 1].generate_state(1)[0]))
             for e in range(self.num_tables)
         ]
 

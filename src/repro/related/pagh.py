@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.families import SignHash, make_family
+from repro.hashing.families import MultiplyShiftHash, SignHash
 from repro.hashing.pairs import index_to_pair
 
 __all__ = ["CompressedCovarianceSketch"]
@@ -49,8 +49,8 @@ class CompressedCovarianceSketch:
     num_buckets:
         ``b`` — polynomial length per repetition.  The pair sketch lives in
         ``b`` buckets, so accuracy matches a count sketch with ``R = b``.
-    seed, family:
-        Hashing configuration (see :mod:`repro.hashing`).
+    seed:
+        Hashing seed (see :mod:`repro.hashing`).
     """
 
     def __init__(
@@ -60,7 +60,6 @@ class CompressedCovarianceSketch:
         num_buckets: int,
         *,
         seed: int = 0,
-        family: str = "multiply-shift",
     ):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
@@ -81,8 +80,8 @@ class CompressedCovarianceSketch:
         self._s2 = np.empty((self.num_tables, self.dim), dtype=np.float64)
         for e in range(self.num_tables):
             seeds = [int(children[4 * e + k].generate_state(1)[0]) for k in range(4)]
-            self._h1[e] = make_family(family, self.num_buckets, seeds[0])(features)
-            self._h2[e] = make_family(family, self.num_buckets, seeds[1])(features)
+            self._h1[e] = MultiplyShiftHash(self.num_buckets, seeds[0])(features)
+            self._h2[e] = MultiplyShiftHash(self.num_buckets, seeds[1])(features)
             self._s1[e] = SignHash(seeds[2])(features)
             self._s2[e] = SignHash(seeds[3])(features)
 

@@ -29,7 +29,7 @@ class AugmentedSketch(ValueSketch):
 
     Parameters
     ----------
-    num_tables, num_buckets, seed, family:
+    num_tables, num_buckets, seed:
         Parameters of the backing :class:`CountSketch`.
     filter_capacity:
         Number of exact filter slots (ASketch uses a few dozen to a few
@@ -53,7 +53,6 @@ class AugmentedSketch(ValueSketch):
         *,
         filter_capacity: int = 64,
         seed: int = 0,
-        family: str = "multiply-shift",
         exchange_every: int = 1,
         two_sided: bool = False,
         dtype=np.float64,
@@ -62,8 +61,7 @@ class AugmentedSketch(ValueSketch):
         if filter_capacity < 1:
             raise ValueError(f"filter_capacity must be >= 1, got {filter_capacity}")
         self.sketch = CountSketch(
-            num_tables, num_buckets, seed=seed, family=family,
-            dtype=dtype, quantum=quantum,
+            num_tables, num_buckets, seed=seed, dtype=dtype, quantum=quantum
         )
         self.filter_capacity = int(filter_capacity)
         self.exchange_every = max(1, int(exchange_every))
@@ -181,7 +179,6 @@ class AugmentedSketch(ValueSketch):
             self.sketch.num_buckets,
             filter_capacity=self.filter_capacity,
             seed=self.sketch.seed,
-            family=self.sketch.family,
             exchange_every=self.exchange_every,
             two_sided=self.two_sided,
         )

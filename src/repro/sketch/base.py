@@ -69,7 +69,7 @@ def ensure_mergeable(left, right, attrs: tuple[str, ...]) -> None:
         if a != b:
             raise ValueError(
                 f"{type(left).__name__} sketches are mergeable only with "
-                f"identical shape, seed and family; {attr} differs: "
+                f"identical shape and seed; {attr} differs: "
                 f"{a!r} != {b!r}"
             )
 

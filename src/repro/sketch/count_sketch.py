@@ -53,8 +53,6 @@ class CountSketch(ValueSketch):
     seed:
         Seed for all hash functions; two sketches built with identical
         parameters and seed are mergeable.
-    family:
-        Hash family name (see :func:`repro.hashing.make_family`).
     dtype:
         Counter storage (see :mod:`repro.sketch.storage`): ``float64`` by
         default; ``float32`` halves memory at the cost of accumulation
@@ -73,7 +71,6 @@ class CountSketch(ValueSketch):
         num_buckets: int,
         *,
         seed: int = 0,
-        family: str = "multiply-shift",
         dtype=np.float64,
         quantum: float | None = None,
     ):
@@ -84,7 +81,6 @@ class CountSketch(ValueSketch):
         self.num_tables = int(num_tables)
         self.num_buckets = int(num_buckets)
         self.seed = int(seed)
-        self.family = family
         # The storage backend owns the (K, R) table and its flat view; the
         # fused kernels address counter (e, b) as raw[e * R + b].
         self._store = CounterStore(
@@ -97,18 +93,16 @@ class CountSketch(ValueSketch):
         # Derive one independent (bucket, sign) hash pair per table from the
         # master seed.  SeedSequence spawning guarantees independence; the
         # per-table parameters are stacked so one broadcast hashes all K
-        # tables (bit-identical to K separate families with these seeds).
+        # tables (bit-identical to K separate hashes with these seeds).
         seq = np.random.SeedSequence(self.seed)
         children = seq.spawn(2 * self.num_tables)
         self._hasher = MultiTableHasher(
-            family,
             self.num_buckets,
             [int(children[2 * e].generate_state(1)[0]) for e in range(self.num_tables)],
-            sign_seeds=[
+            [
                 int(children[2 * e + 1].generate_state(1)[0])
                 for e in range(self.num_tables)
             ],
-            sign_family="multiply-shift",
         )
         # The gate's two stages: tables [0, h) settle most keys, tables
         # [h, K) finish the rest (see gate); even K has no such split.
@@ -130,15 +124,11 @@ class CountSketch(ValueSketch):
 
         # Compiled-kernel plumbing: _jit_args holds the flattened hash
         # parameters the kernels consume, and stays None whenever this
-        # sketch can never take the compiled path (numba absent, non-fused
-        # family, quantized storage), so the numpy path exits on one
-        # attribute check per operation.
+        # sketch can never take the compiled path (numba absent, quantized
+        # storage), so the numpy path exits on one attribute check per
+        # operation.
         self._jit_args = None
-        if (
-            numba_available()
-            and self._hasher._combined_a is not None
-            and self._store.quantum is None
-        ):
+        if numba_available() and self._store.quantum is None:
             mask = self._hasher._bucket_mask
             self._jit_args = (
                 self._hasher._combined_a.ravel(),
@@ -232,9 +222,9 @@ class CountSketch(ValueSketch):
     def _jit_kernels(self, keys):
         """``(module, flat)`` for the compiled path, or ``None``.
 
-        The compiled kernels cover the common hot configuration: the
-        fused multiply-shift family, plain float64 counters that are not
-        mmap-backed, and a fresh (uncached) key batch.  Everything else
+        The compiled kernels cover the common hot configuration: plain
+        float64 counters that are not mmap-backed, and a fresh (uncached)
+        key batch.  Everything else
         — cache hits, quantized or widened storage, serving snapshots —
         transparently takes the numpy path, which is bit-identical.
         """
@@ -408,9 +398,7 @@ class CountSketch(ValueSketch):
         return self
 
     def _check_compatible(self, other: "CountSketch") -> None:
-        ensure_mergeable(
-            self, other, ("num_tables", "num_buckets", "seed", "family")
-        )
+        ensure_mergeable(self, other, ("num_tables", "num_buckets", "seed"))
         self._store.check_mergeable(other._store, "CountSketch")
 
     def merge(self, other: "CountSketch") -> "CountSketch":
@@ -448,7 +436,6 @@ class CountSketch(ValueSketch):
             self.num_tables,
             self.num_buckets,
             seed=self.seed,
-            family=self.family,
         )
         clone._store = self._store.copy()
         return clone
@@ -474,5 +461,5 @@ class CountSketch(ValueSketch):
         )
         return (
             f"CountSketch(K={self.num_tables}, R={self.num_buckets}, "
-            f"family={self.family!r}, seed={self.seed}{storage})"
+            f"seed={self.seed}{storage})"
         )

@@ -81,7 +81,7 @@ class HierarchicalCountSketch(ValueSketch):
     seed:
         Master seed; per-level hash seeds are spawned from it, so two
         hierarchies with equal parameters and seed are mergeable.
-    family, dtype, quantum:
+    dtype, quantum:
         Forwarded to every level's :class:`CountSketch` (see there).
     """
 
@@ -95,7 +95,6 @@ class HierarchicalCountSketch(ValueSketch):
         levels: int | None = None,
         max_root_intervals: int = DEFAULT_MAX_ROOT_INTERVALS,
         seed: int = 0,
-        family: str = "multiply-shift",
         dtype=np.float64,
         quantum: float | None = None,
     ):
@@ -120,7 +119,6 @@ class HierarchicalCountSketch(ValueSketch):
         self.branching = branching
         self.levels = levels
         self.seed = int(seed)
-        self.family = family
 
         # Level l sketches key // B**l; its key space is ceil(space / B**l).
         self._divisors = [branching**level for level in range(levels)]
@@ -133,7 +131,6 @@ class HierarchicalCountSketch(ValueSketch):
                 self.num_tables,
                 self.num_buckets,
                 seed=int(child.generate_state(1)[0]),
-                family=family,
                 dtype=dtype,
                 quantum=quantum,
             )
@@ -306,7 +303,6 @@ class HierarchicalCountSketch(ValueSketch):
                 "num_tables",
                 "num_buckets",
                 "seed",
-                "family",
                 "key_space",
                 "branching",
                 "levels",
@@ -371,7 +367,6 @@ class HierarchicalCountSketch(ValueSketch):
             branching=self.branching,
             levels=self.levels,
             seed=self.seed,
-            family=self.family,
         )
         for mine, theirs in zip(clone._levels, self._levels):
             mine._store = theirs._store.copy()
@@ -408,5 +403,5 @@ class HierarchicalCountSketch(ValueSketch):
             f"HierarchicalCountSketch(K={self.num_tables}, "
             f"R={self.num_buckets}, levels={self.levels}, "
             f"branching={self.branching}, key_space={self.key_space}, "
-            f"family={self.family!r}, seed={self.seed})"
+            f"seed={self.seed})"
         )

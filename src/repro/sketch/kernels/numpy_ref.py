@@ -52,7 +52,7 @@ def apply_sign(bits: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``x`` is either the float64 value row ``(n,)`` (insert) or the
     gathered estimate matrix ``(K, n)`` (query); ``bits`` is the uint64
-    bit matrix from :meth:`repro.hashing.MultiTableHasher.sign_bits_u64`.
+    bit matrix from :meth:`repro.hashing.MultiTableHasher.bucket_sign_u64`.
     Each bit is shifted to bit 63 and XORed into the float's bits: one
     shift and one XOR at every size, byte-identical to
     ``np.where(bits, -x, x)`` (see the contract's sign rule).

@@ -114,7 +114,7 @@ class CapacityPlan:
     def predicted_total_bytes(self) -> int:
         return int(self.total_counters * self.predicted_bytes_per_counter)
 
-    def build_sketch(self, *, seed: int = 0, family: str = "multiply-shift"):
+    def build_sketch(self, *, seed: int = 0):
         """A sketch following this plan.
 
         Flat plans (``levels == 1``) build a
@@ -130,7 +130,6 @@ class CapacityPlan:
                 branching=self.branching,
                 levels=self.levels,
                 seed=seed,
-                family=family,
                 dtype=self.storage,
                 quantum=self.quantum,
             )
@@ -138,7 +137,6 @@ class CapacityPlan:
             self.num_tables,
             self.num_buckets,
             seed=seed,
-            family=family,
             dtype=self.storage,
             quantum=self.quantum,
         )

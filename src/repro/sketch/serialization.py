@@ -4,10 +4,16 @@ Linear sketches are the natural unit of distributed aggregation and of
 serving snapshots: workers sketch shards of a stream and persist, a reducer
 merges, a query engine freezes.  This module round-trips sketches through
 ``.npz`` files (``allow_pickle=False`` throughout): hash functions are
-reconstructed from the stored seed and family name, so a loaded sketch
-answers queries (and merges) exactly like the original, and counter dtypes
-— including quantized (fixed-point) storage and its ``quantum`` — survive
-the round-trip bit-for-bit.
+reconstructed from the stored seed, so a loaded sketch answers queries
+(and merges) exactly like the original, and counter dtypes — including
+quantized (fixed-point) storage and its ``quantum`` — survive the
+round-trip bit-for-bit.
+
+Archives keep a ``family`` member, always :data:`repro.hashing.FAMILY`
+(multiply-shift), so files written here stay readable by builds that
+still chose among hash families.  A file naming any other family is
+refused (:func:`repro.hashing.check_family`): its counters were hashed
+with functions this build cannot rebuild.
 
 Two layers of API:
 
@@ -44,6 +50,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.durability.integrity import read_npz, write_npz
+from repro.hashing.families import FAMILY, check_family
 from repro.sketch.augmented import AugmentedSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.decay import DecayedSketch
@@ -184,7 +191,7 @@ def sketch_to_arrays(sketch) -> dict[str, np.ndarray]:
 def sketch_from_arrays(data: Mapping[str, np.ndarray], *, copy: bool = True):
     """Rebuild a sketch from :func:`sketch_to_arrays` output.
 
-    The rebuilt sketch has identical hash functions (same seed/family) and
+    The rebuilt sketch has identical hash functions (same seed) and
     an exact copy of the counters — the ``table`` dtype and any fixed-point
     ``quantum`` are preserved bit-for-bit — so queries, further inserts and
     merges behave exactly as on the original.
@@ -212,12 +219,21 @@ def _quantum_from(data) -> float | None:
     return None if np.isnan(quantum) else quantum
 
 
+def _restore_table(sketch: CountSketch, table, copy: bool) -> None:
+    """Copy a persisted table in (adopting its width) or adopt it as is;
+    either way a table of the wrong shape raises ``ValueError``."""
+    if copy:
+        sketch.load_table(table)
+    else:
+        sketch._store.attach(table)
+
+
 def _table_arrays(sketch) -> dict:
     return {
         "num_tables": np.asarray(sketch.num_tables),
         "num_buckets": np.asarray(sketch.num_buckets),
         "seed": np.asarray(sketch.seed),
-        "family": np.asarray(sketch.family),
+        "family": np.asarray(FAMILY),
         "table": sketch.table,
         "quantum": np.asarray(
             np.nan if sketch.quantum is None else sketch.quantum,
@@ -231,19 +247,16 @@ def _count_sketch_to_arrays(sketch: CountSketch) -> dict:
 
 
 def _count_sketch_from_arrays(data, *, copy: bool = True) -> CountSketch:
+    check_family(data["family"])
     table = np.asarray(data["table"]) if copy else data["table"]
     sketch = CountSketch(
         int(data["num_tables"]),
         int(data["num_buckets"]),
         seed=int(data["seed"]),
-        family=str(data["family"]),
         dtype=table.dtype,
         quantum=_quantum_from(data),
     )
-    if copy:
-        sketch.table[:] = table
-    else:
-        sketch._store.attach(table)
+    _restore_table(sketch, table, copy)
     return sketch
 
 
@@ -269,22 +282,19 @@ def _augmented_to_arrays(sketch: AugmentedSketch) -> dict:
 
 
 def _augmented_from_arrays(data, *, copy: bool = True) -> AugmentedSketch:
+    check_family(data["family"])
     table = np.asarray(data["table"]) if copy else data["table"]
     sketch = AugmentedSketch(
         int(data["num_tables"]),
         int(data["num_buckets"]),
         filter_capacity=int(data["filter_capacity"]),
         seed=int(data["seed"]),
-        family=str(data["family"]),
         exchange_every=int(data["exchange_every"]),
         two_sided=bool(data["two_sided"]),
         dtype=table.dtype,
         quantum=_quantum_from(data),
     )
-    if copy:
-        sketch.sketch.table[:] = table
-    else:
-        sketch.sketch._store.attach(table)
+    _restore_table(sketch.sketch, table, copy)
     sketch._inserts_since_exchange = int(data["inserts_since_exchange"])
     keys = np.asarray(data["filter_keys"], dtype=np.int64)
     values = np.asarray(data["filter_values"], dtype=np.float64)
@@ -325,7 +335,7 @@ def _hierarchical_to_arrays(sketch: HierarchicalCountSketch) -> dict:
         "num_tables": np.asarray(sketch.num_tables),
         "num_buckets": np.asarray(sketch.num_buckets),
         "seed": np.asarray(sketch.seed),
-        "family": np.asarray(sketch.family),
+        "family": np.asarray(FAMILY),
         "key_space": np.asarray(sketch.key_space),
         "branching": np.asarray(sketch.branching),
         "levels": np.asarray(sketch.levels),
@@ -345,6 +355,7 @@ def _hierarchical_to_arrays(sketch: HierarchicalCountSketch) -> dict:
 
 
 def _hierarchical_from_arrays(data, *, copy: bool = True) -> HierarchicalCountSketch:
+    check_family(data["family"])
     levels = int(data["levels"])
     tables = [data[f"level{index}_table"] for index in range(levels)]
     leaf = np.asarray(tables[0]) if copy else tables[0]
@@ -355,18 +366,13 @@ def _hierarchical_from_arrays(data, *, copy: bool = True) -> HierarchicalCountSk
         branching=int(data["branching"]),
         levels=levels,
         seed=int(data["seed"]),
-        family=str(data["family"]),
         dtype=leaf.dtype,
         quantum=_quantum_from(data),
     )
-    if copy:
-        # load_raw adopts each persisted level's width (promoting when the
-        # incoming table is wider than the leaf-derived declared dtype).
-        for level, table in zip(sketch._levels, tables):
-            level.load_table(np.asarray(table))
-    else:
-        for level, table in zip(sketch._levels, tables):
-            level._store.attach(table)
+    # load_raw adopts each persisted level's width (promoting when the
+    # incoming table is wider than the leaf-derived declared dtype).
+    for level, table in zip(sketch._levels, tables):
+        _restore_table(level, table, copy)
     return sketch
 
 

@@ -301,7 +301,6 @@ def make_decaying_sketcher(
     num_tables: int = 5,
     num_buckets: int = 4096,
     seed: int = 0,
-    family: str = "multiply-shift",
     mode: str = "covariance",
     batch_size: int = 32,
     std_floor: float = 1e-6,
@@ -331,8 +330,7 @@ def make_decaying_sketcher(
         gamma = decay_from_half_life(half_life)
     sketch = DecayedSketch(
         CountSketch(
-            num_tables, num_buckets, seed=seed, family=family,
-            dtype=storage, quantum=quantum,
+            num_tables, num_buckets, seed=seed, dtype=storage, quantum=quantum
         ),
         gamma,
     )

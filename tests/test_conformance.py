@@ -431,6 +431,31 @@ class TestCorruptionDetection:
         with pytest.raises(IntegrityError):
             load_sketch(str(path), mmap=True, verify_tables=True)
 
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "cut", [lambda t: t[0], lambda t: t[:1]], ids=["row", "one-row"]
+    )
+    @pytest.mark.parametrize("name", CASES)
+    def test_mis_shaped_table_raises_clean_error(self, name, cut, mmap, tmp_path):
+        """A counter table of the wrong shape, under valid checksums, must
+        be refused on both load paths, not broadcast into every table."""
+        from repro.durability import IntegrityError
+        from repro.durability.integrity import read_npz, write_npz
+
+        path = tmp_path / f"{name}.npz"
+        save_sketch(_make(name, seed=31), str(path), compress=False)
+        with read_npz(path) as data:
+            payload = {
+                member: cut(array)
+                if (member == "table" or member.endswith("_table")) and array.ndim == 2
+                else array
+                for member, array in data.items()
+            }
+        write_npz(path, payload)
+        with pytest.raises(IntegrityError) as excinfo:
+            load_sketch(str(path), mmap=mmap)
+        assert str(path) in str(excinfo.value)
+
 
 class TestCrossBackendBitIdentity:
     """Every registered kind must leave byte-identical state and answers on

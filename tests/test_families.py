@@ -1,124 +1,52 @@
-"""Tests for the universal hash families (repro.hashing.families)."""
+"""Tests for multiply-shift hashing (repro.hashing.families)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.hashing.families import (
-    FAMILY_NAMES,
-    MERSENNE_PRIME_61,
-    MultiplyShiftHash,
-    PolynomialHash,
-    SignHash,
-    TabulationHash,
-    _mulmod_mersenne61,
-    make_family,
-)
+from repro.hashing.families import MultiplyShiftHash, SignHash
 
 
-class TestMulmodMersenne61:
-    @given(
-        st.integers(min_value=0, max_value=MERSENNE_PRIME_61 - 1),
-        st.integers(min_value=0, max_value=MERSENNE_PRIME_61 - 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_python_bigint(self, a, b):
-        got = _mulmod_mersenne61(
-            np.asarray([a], dtype=np.uint64), np.asarray([b], dtype=np.uint64)
-        )[0]
-        assert int(got) == (a * b) % MERSENNE_PRIME_61
-
-    def test_edge_operands(self):
-        p = MERSENNE_PRIME_61
-        cases = [(0, 0), (1, p - 1), (p - 1, p - 1), (2**32, 2**32), (p - 1, 1)]
-        for a, b in cases:
-            got = _mulmod_mersenne61(
-                np.asarray([a], dtype=np.uint64), np.asarray([b], dtype=np.uint64)
-            )[0]
-            assert int(got) == (a * b) % p
-
-    def test_vectorised(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, MERSENNE_PRIME_61, size=1000, dtype=np.uint64)
-        b = rng.integers(0, MERSENNE_PRIME_61, size=1000, dtype=np.uint64)
-        got = _mulmod_mersenne61(a, b)
-        for n in range(0, 1000, 97):
-            assert int(got[n]) == (int(a[n]) * int(b[n])) % MERSENNE_PRIME_61
-
-
-@pytest.mark.parametrize("name", FAMILY_NAMES)
 class TestFamilyContracts:
-    def test_range(self, name):
-        h = make_family(name, 97, seed=1)
+    def test_range(self):
+        h = MultiplyShiftHash(97, seed=1)
         keys = np.arange(10_000, dtype=np.uint64)
         buckets = h(keys)
         assert buckets.dtype == np.int64
         assert buckets.min() >= 0 and buckets.max() < 97
 
-    def test_deterministic(self, name):
+    def test_deterministic(self):
         keys = np.random.default_rng(2).integers(0, 2**63, size=500)
-        h1 = make_family(name, 1024, seed=42)
-        h2 = make_family(name, 1024, seed=42)
+        h1 = MultiplyShiftHash(1024, seed=42)
+        h2 = MultiplyShiftHash(1024, seed=42)
         assert (h1(keys) == h2(keys)).all()
 
-    def test_seeds_differ(self, name):
+    def test_seeds_differ(self):
         keys = np.arange(2000, dtype=np.uint64)
-        h1 = make_family(name, 1024, seed=1)
-        h2 = make_family(name, 1024, seed=2)
+        h1 = MultiplyShiftHash(1024, seed=1)
+        h2 = MultiplyShiftHash(1024, seed=2)
         assert (h1(keys) != h2(keys)).any()
 
-    def test_roughly_uniform(self, name):
+    def test_roughly_uniform(self):
         # Chi-square-ish sanity: no bucket should be wildly over-loaded.
         R = 64
-        h = make_family(name, R, seed=3)
+        h = MultiplyShiftHash(R, seed=3)
         keys = np.arange(64_000, dtype=np.uint64)
         counts = np.bincount(h(keys), minlength=R)
         assert counts.max() < 2.0 * 64_000 / R
 
-    def test_single_bucket(self, name):
-        h = make_family(name, 1, seed=1)
+    def test_single_bucket(self):
+        h = MultiplyShiftHash(1, seed=1)
         assert (h(np.arange(100, dtype=np.uint64)) == 0).all()
 
-    def test_accepts_int64_keys(self, name):
-        h = make_family(name, 50, seed=5)
+    def test_accepts_int64_keys(self):
+        h = MultiplyShiftHash(50, seed=5)
         a = h(np.arange(100, dtype=np.int64))
         b = h(np.arange(100, dtype=np.uint64))
         assert (a == b).all()
 
-    def test_invalid_buckets(self, name):
+    def test_invalid_buckets(self):
         with pytest.raises(ValueError):
-            make_family(name, 0, seed=1)
-
-
-class TestPolynomialHash:
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            PolynomialHash(10, seed=1, degree=0)
-
-    def test_higher_degree_works(self):
-        h = PolynomialHash(101, seed=4, degree=4)
-        buckets = h(np.arange(5000, dtype=np.uint64))
-        assert buckets.min() >= 0 and buckets.max() < 101
-
-    def test_pairwise_independence_statistic(self):
-        # For 2-independent hashing, P[h(x)=h(y)] ~ 1/R over seeds.
-        R = 32
-        x, y = np.uint64(123456), np.uint64(987654)
-        hits = sum(
-            PolynomialHash(R, seed=s)(np.asarray([x, y]))[0]
-            == PolynomialHash(R, seed=s)(np.asarray([y]))[0]
-            for s in range(600)
-        )
-        assert hits / 600 == pytest.approx(1 / R, abs=0.03)
-
-
-class TestTabulationHash:
-    def test_differs_on_single_byte_flip(self):
-        h = TabulationHash(1 << 30, seed=9)
-        a = h(np.asarray([0x0102030405060708], dtype=np.uint64))
-        b = h(np.asarray([0x0102030405060709], dtype=np.uint64))
-        assert a[0] != b[0]
+            MultiplyShiftHash(0, seed=1)
 
 
 class TestSignHash:
@@ -135,11 +63,6 @@ class TestSignHash:
     def test_deterministic(self):
         keys = np.arange(1000, dtype=np.uint64)
         assert (SignHash(seed=3)(keys) == SignHash(seed=3)(keys)).all()
-
-
-def test_make_family_unknown_name():
-    with pytest.raises(ValueError, match="unknown hash family"):
-        make_family("sha256", 10, seed=0)
 
 
 def test_multiply_shift_is_fast_path_default():

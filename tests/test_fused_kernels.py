@@ -14,7 +14,7 @@ from repro.core.ascs import ActiveSamplingCountSketch
 from repro.core.estimator import SketchEstimator
 from repro.core.schedule import ThresholdSchedule
 from repro.covariance.updates import sparse_batch_pairs, sparse_sample_pairs
-from repro.hashing.families import MultiTableHasher, SignHash, make_family
+from repro.hashing.families import MultiplyShiftHash, MultiTableHasher, SignHash
 from repro.reference import (
     LegacyCountSketch,
     LegacyTopKTracker,
@@ -26,8 +26,6 @@ from repro.sketch.hierarchical import HierarchicalCountSketch
 from repro.sketch.kernels import available_backends, numba_available
 from repro.sketch.kernels.numpy_ref import apply_sign, median
 from repro.sketch.topk import TopKTracker
-
-FAMILIES = ["multiply-shift", "polynomial", "tabulation"]
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba is not importable"
@@ -60,63 +58,43 @@ def _key_batches(rng, num_batches=4):
 # Hash layer
 # ----------------------------------------------------------------------
 class TestMultiTableHasher:
-    @pytest.mark.parametrize("family", FAMILIES)
+    """Row ``j`` of the fused ``(2K, n)`` broadcast is table ``j``'s own
+    :class:`MultiplyShiftHash` and :class:`SignHash`, bit for bit, and a
+    ``select``ed hasher's rows are the selected tables'."""
+
     @pytest.mark.parametrize("num_buckets", [1024, 1000])  # pow2 and not
-    def test_buckets_match_per_table_families(self, family, num_buckets, rng):
-        seeds = [11, 22, 33]
-        hasher = MultiTableHasher(family, num_buckets, seeds)
-        keys = rng.integers(0, 2**63 - 1, size=500).astype(np.int64)
-        fused = hasher.buckets(keys)
-        for e, seed in enumerate(seeds):
-            ref = make_family(family, num_buckets, seed)(keys)
-            np.testing.assert_array_equal(fused[e], ref)
-
-    def test_signs_match_sign_hash(self, rng):
-        seeds = [1, 2, 3, 4]
+    @pytest.mark.parametrize(
+        "num_tables, rows", [(1, None), (3, None), (5, [4, 1, 2])]
+    )
+    def test_rows_match_per_table_hashes(self, num_tables, rows, num_buckets, rng):
+        seeds, sign_seeds = [11, 22, 33, 44, 55], [9, 8, 7, 6, 5]
         hasher = MultiTableHasher(
-            "multiply-shift", 64, seeds, sign_seeds=[9, 8, 7, 6]
+            num_buckets, seeds[:num_tables], sign_seeds[:num_tables]
         )
-        keys = rng.integers(0, 10**15, size=256).astype(np.int64)
-        fused = hasher.signs(keys)
-        for e, seed in enumerate([9, 8, 7, 6]):
-            ref = SignHash(seed, family="multiply-shift")(keys)
-            np.testing.assert_array_equal(fused[e], ref)
-
-    def test_single_table(self, rng):
-        hasher = MultiTableHasher("multiply-shift", 128, [5])
-        keys = rng.integers(0, 10**12, size=64).astype(np.int64)
-        assert hasher.buckets(keys).shape == (1, 64)
-        np.testing.assert_array_equal(
-            hasher.buckets(keys)[0], make_family("multiply-shift", 128, 5)(keys)
-        )
-
-    def test_polynomial_degree_passthrough(self, rng):
-        hasher = MultiTableHasher("polynomial", 512, [3, 4], degree=3)
-        keys = rng.integers(0, 10**12, size=128).astype(np.int64)
-        for e, seed in enumerate([3, 4]):
-            ref = make_family("polynomial", 512, seed, degree=3)(keys)
-            np.testing.assert_array_equal(hasher.buckets(keys)[e], ref)
-
-    def test_sign_requires_sign_seeds(self):
-        hasher = MultiTableHasher("multiply-shift", 64, [1])
-        with pytest.raises(RuntimeError):
-            hasher.sign_bits_u64(np.arange(4))
+        if rows is None:
+            rows = range(num_tables)
+        else:
+            hasher = hasher.select(rows)
+        keys = rng.integers(-(2**63), 2**63 - 1, size=500, dtype=np.int64)
+        buckets, bits = hasher.bucket_sign_u64(keys)
+        assert buckets.shape == bits.shape == (len(rows), keys.size)
+        for j, e in enumerate(rows):
+            bucket_hash = MultiplyShiftHash(num_buckets, seeds[e])
+            np.testing.assert_array_equal(buckets[j].view(np.int64), bucket_hash(keys))
+            np.testing.assert_array_equal(
+                np.where(bits[j], -1.0, 1.0), SignHash(sign_seeds[e])(keys)
+            )
 
 
 # ----------------------------------------------------------------------
 # Sketch layer
 # ----------------------------------------------------------------------
 class TestCountSketchEquivalence:
-    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("num_tables", [1, 5])
-    def test_insert_query_bit_identical(
-        self, family, dtype, num_tables, kernel_leg, rng
-    ):
-        fused = CountSketch(num_tables, 2048, seed=7, family=family, dtype=dtype)
-        legacy = LegacyCountSketch(
-            num_tables, 2048, seed=7, family=family, dtype=dtype
-        )
+    def test_insert_query_bit_identical(self, dtype, num_tables, kernel_leg, rng):
+        fused = CountSketch(num_tables, 2048, seed=7, dtype=dtype)
+        legacy = LegacyCountSketch(num_tables, 2048, seed=7, dtype=dtype)
         for keys, values in _key_batches(rng):
             fused.insert(keys, values)
             legacy.insert(keys, values)
@@ -204,7 +182,7 @@ class TestCountSketchEquivalence:
 
 
 def _cs_hash_args(sk):
-    """The flat kernel argument tuple for a fused-family count sketch."""
+    """The flat kernel argument tuple for a count sketch."""
     mask = sk._hasher._bucket_mask
     return (
         sk._hasher._combined_a.ravel(),
@@ -651,17 +629,6 @@ class TestStagedGate:
         # The gate ran and refused some updates, but not all.
         assert 0 < fused.updates_accepted < fused.updates_examined
         assert fused.updates_accepted > sum(k.size for k, _, _ in stream) // 4
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_every_hash_family_hashes_its_stages_alike(self, rng, family):
-        """Both stages hash through ``MultiTableHasher.select`` rows."""
-        stream = _ascs_pair_stream(rng)
-        staged = CountSketch(5, 512, seed=4, family=family)
-        legacy = LegacyCountSketch(5, 512, seed=4, family=family)
-        _assert_same_ascs(
-            _run_ascs(staged, stream, two_sided=False),
-            _run_ascs(legacy, stream, two_sided=False),
-        )
 
     @pytest.mark.parametrize("two_sided", [False, True])
     def test_int16_storage_matches_the_default_gate(self, rng, two_sided):

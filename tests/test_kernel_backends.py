@@ -153,8 +153,6 @@ class TestSketchKnob:
 
     def test_ineligible_configs_stay_on_numpy_path(self, monkeypatch):
         _force_numba(monkeypatch, _FAKE_JIT)
-        # Non-fused hash family: no combined multiply-shift tables.
-        assert CountSketch(3, 64, family="polynomial")._jit_args is None
         # Quantized storage: compiled kernels require float64 counters.
         assert CountSketch(3, 64, dtype="int16")._jit_args is None
 

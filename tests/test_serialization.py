@@ -13,11 +13,11 @@ from repro.distributed import (
     sketch_shard,
 )
 from repro.distributed.shard import ShardSpec
-from repro.durability import IntegrityError
-from repro.durability.integrity import write_npz
+from repro.durability import DurableSketcher, IntegrityError
+from repro.durability.integrity import read_npz, write_npz
 from repro.sketch.base import ValueSketch
 from repro.sketch.count_sketch import CountSketch
-from repro.sketch.serialization import load_sketch, save_sketch
+from repro.sketch.serialization import kind_registry, load_sketch, save_sketch
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def tmp_sketch_path(tmp_path):
 
 class TestCountSketchRoundTrip:
     def test_queries_identical(self, tmp_sketch_path, rng):
-        sketch = CountSketch(4, 512, seed=7, family="polynomial")
+        sketch = CountSketch(4, 512, seed=7)
         keys = rng.integers(0, 10**9, size=2000)
         sketch.insert(keys, rng.standard_normal(2000))
         save_sketch(sketch, tmp_sketch_path)
@@ -54,13 +54,12 @@ class TestCountSketchRoundTrip:
         assert loaded.query_single(5) == pytest.approx(2.0)
 
     def test_parameters_preserved(self, tmp_sketch_path):
-        sketch = CountSketch(6, 123, seed=99, family="tabulation")
+        sketch = CountSketch(6, 123, seed=99)
         save_sketch(sketch, tmp_sketch_path)
         loaded = load_sketch(tmp_sketch_path)
         assert loaded.num_tables == 6
         assert loaded.num_buckets == 123
         assert loaded.seed == 99
-        assert loaded.family == "tabulation"
 
 
 class TestDtypePreservation:
@@ -218,13 +217,99 @@ class TestErrors:
         np.testing.assert_allclose(merged.table, reference.table, atol=1e-9)
 
 
+class TestRemovedHashFamilies:
+    """Multiply-shift is the only hash family.  A file naming another one
+    holds counters hashed with functions this build cannot rebuild, so
+    wherever the name is persisted, loading is an IntegrityError naming
+    the file and the family."""
+
+    REMOVED = ("polynomial", "tabulation")
+    #: The built-in kinds and the member that names their hash family.
+    FAMILY_MEMBER = {
+        "count-sketch": "family",
+        "augmented": "family",
+        "hierarchical": "family",
+        "decayed": "inner_family",
+    }
+
+    @staticmethod
+    def _rewrite(path, **members):
+        """Re-save ``path`` with ``members`` set, its checksums valid."""
+        with read_npz(path) as data:
+            payload = dict(data)
+        payload.update((name, np.asarray(value)) for name, value in members.items())
+        return write_npz(path, payload)
+
+    @staticmethod
+    def _assert_refused(path, family, load):
+        with pytest.raises(IntegrityError) as excinfo:
+            load()
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert repr(family) in message
+
+    @pytest.mark.parametrize("family", REMOVED)
+    @pytest.mark.parametrize("kind", sorted(FAMILY_MEMBER))
+    def test_sketch_archive(self, tmp_path, kind, family):
+        path = tmp_path / f"{kind}.npz"
+        save_sketch(kind_registry()[kind].make(0), path, compress=False)
+        # Builds that chose among families read the member, so it stays.
+        with read_npz(path) as data:
+            assert str(data[self.FAMILY_MEMBER[kind]]) == "multiply-shift"
+        self._rewrite(path, **{self.FAMILY_MEMBER[kind]: family})
+        for mmap in (False, True):
+            self._assert_refused(path, family, lambda: load_sketch(path, mmap=mmap))
+
+    @pytest.mark.parametrize("family", REMOVED)
+    def test_shard_file(self, tmp_path, rng, family):
+        spec = ShardSpec(dim=20, total_samples=8)
+        path = tmp_path / "shard.npz"
+        save_shard_result(sketch_shard(spec, _shard_samples(rng, 8, 20)), path)
+        # A multiply-shift member, as builds with a family choice wrote it.
+        self._rewrite(path, spec_family="multiply-shift")
+        assert load_shard_result(path).spec == spec
+        self._rewrite(path, spec_family=family)
+        self._assert_refused(path, family, lambda: load_shard_result(path))
+
+    @pytest.mark.parametrize("family", REMOVED)
+    def test_durable_recipe(self, tmp_path, family):
+        DurableSketcher(tmp_path, ShardSpec(dim=20, total_samples=8)).close()
+        recipe = self._rewrite(tmp_path / "spec.npz", spec_family=family)
+        self._assert_refused(recipe, family, lambda: DurableSketcher(tmp_path))
+
+    def test_multiply_shift_archive_loads_bit_identically(self, tmp_path, rng):
+        """An archive as builds with a family choice wrote it answers like
+        a fresh sketch with its seed, before and after more inserts."""
+        fresh = CountSketch(3, 256, seed=5)
+        fresh.insert(rng.integers(0, 10**9, size=2000), rng.standard_normal(2000))
+        path = write_npz(
+            tmp_path / "old.npz",
+            {
+                "kind": np.asarray("count-sketch"),
+                "num_tables": np.asarray(3),
+                "num_buckets": np.asarray(256),
+                "seed": np.asarray(5),
+                "family": np.asarray("multiply-shift"),
+                "table": fresh.table.copy(),
+                "quantum": np.asarray(np.nan),
+            },
+        )
+        loaded = load_sketch(path)
+        probe = rng.integers(0, 10**9, size=500)
+        np.testing.assert_array_equal(loaded.query(probe), fresh.query(probe))
+        keys, values = rng.integers(0, 10**9, size=300), rng.standard_normal(300)
+        loaded.insert(keys, values)
+        fresh.insert(keys, values)
+        np.testing.assert_array_equal(loaded.table, fresh.table)
+
+
 class TestMergeAfterRoundTrip:
     """Regression: a loaded sketch must merge *identically* to the
     in-memory original — not just answer queries identically."""
 
     def test_count_sketch_merge_identical(self, tmp_path, rng):
-        base = CountSketch(4, 512, seed=7, family="polynomial")
-        other = CountSketch(4, 512, seed=7, family="polynomial")
+        base = CountSketch(4, 512, seed=7)
+        other = CountSketch(4, 512, seed=7)
         base.insert(rng.integers(0, 10**9, size=2000), rng.standard_normal(2000))
         other.insert(rng.integers(0, 10**9, size=2000), rng.standard_normal(2000))
 
@@ -266,7 +351,6 @@ class TestShardResultRoundTrip:
             num_tables=3,
             num_buckets=256,
             seed=19,
-            family="polynomial",
             mode="correlation",
             batch_size=8,
             std_floor=1e-5,
