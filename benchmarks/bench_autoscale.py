@@ -150,9 +150,7 @@ def _bench_static(data, truth, n, num_buckets: int) -> dict:
     est = build_estimator(
         "cs", n, NUM_TABLES, num_buckets, seed=SEED, track_top=256
     )
-    sketcher = CovarianceSketcher(
-        DIM, est, mode="correlation", centering="none", batch_size=32
-    )
+    sketcher = CovarianceSketcher(DIM, est, mode="correlation", batch_size=32)
     t0 = time.perf_counter()
     sketcher.fit_dense(data)
     seconds = time.perf_counter() - t0

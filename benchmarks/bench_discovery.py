@@ -69,9 +69,7 @@ def _bench_open_world(smoke: bool) -> tuple[list[dict], dict]:
         branching=BRANCHING, seed=SEED,
     )
     estimator = SketchEstimator(sketch, n, name="HCS", two_sided=True, track_top=0)
-    sketcher = CovarianceSketcher(
-        dim, estimator, mode="correlation", centering="none", batch_size=64
-    )
+    sketcher = CovarianceSketcher(dim, estimator, mode="correlation", batch_size=64)
     t0 = time.perf_counter()
     sketcher.fit_dense(samples)
     fit_seconds = time.perf_counter() - t0

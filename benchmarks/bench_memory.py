@@ -83,7 +83,7 @@ def _bench_quantized_f1(smoke: bool) -> tuple[list[dict], dict]:
             quantum=quantum,
         )
         sketcher = CovarianceSketcher(
-            dim, est, mode="correlation", centering="none", batch_size=BATCH_SIZE
+            dim, est, mode="correlation", batch_size=BATCH_SIZE
         )
         t0 = time.perf_counter()
         sketcher.fit_dense(data)

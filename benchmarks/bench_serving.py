@@ -80,7 +80,7 @@ def _fit_sketcher(num_samples: int, rng) -> CovarianceSketcher:
         track_top=TRACK_TOP,
     )
     sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=BATCH_SIZE
+        DIM, estimator, mode="covariance", batch_size=BATCH_SIZE
     )
     sketcher.fit_sparse(iter(_make_stream(num_samples, rng)))
     return sketcher

@@ -159,7 +159,6 @@ def _bench_drift_f1(smoke: bool) -> tuple[list[dict], dict]:
         dim,
         build_estimator("cs", n, NUM_TABLES, memory // NUM_TABLES, seed=3, track_top=256),
         mode="correlation",
-        centering="none",
         batch_size=BATCH_SIZE,
     )
     t0 = time.perf_counter()

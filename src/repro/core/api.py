@@ -123,7 +123,7 @@ def run_pilot(
     sketch = CountSketch(num_tables, num_buckets, seed=seed + 101)
     estimator = SketchEstimator(sketch, total_samples=n_pilot, name="pilot")
     sketcher = CovarianceSketcher(
-        d, estimator, mode=mode, centering="none", batch_size=max(8, n_pilot // 8)
+        d, estimator, mode=mode, batch_size=max(8, n_pilot // 8)
     )
     sketcher.fit_dense(pilot)
 
@@ -138,7 +138,7 @@ def run_pilot(
 
     # sigma via the section-7.2 relaxation on the same (normalised) stream.
     if mode == "correlation":
-        std = sketcher.moments.std(floor=sketcher.std_floor)
+        std = sketcher.sparse_moments.std(floor=sketcher.std_floor)
         work = pilot / std
     else:
         work = pilot
@@ -391,9 +391,7 @@ def sketch_correlations(
         storage=storage,
         quantum=quantum,
     )
-    sketcher = CovarianceSketcher(
-        d, estimator, mode=mode, centering="none", batch_size=batch_size
-    )
+    sketcher = CovarianceSketcher(d, estimator, mode=mode, batch_size=batch_size)
     sketcher.fit_dense(dense)
 
     i, j, estimates = sketcher.top_pairs(top_k)

@@ -9,10 +9,9 @@ from repro.covariance.ground_truth import (
     top_true_pairs,
 )
 from repro.covariance.pipeline import CovarianceSketcher
-from repro.covariance.running import ExactCovariance, RunningMoments, SparseMoments
+from repro.covariance.running import SparseMoments
 from repro.covariance.updates import (
     InvalidBatchError,
-    adjustment_matrix,
     aggregate_pair_updates,
     dense_batch_products,
     sparse_batch_pairs,
@@ -22,11 +21,8 @@ from repro.covariance.updates import (
 
 __all__ = [
     "CovarianceSketcher",
-    "ExactCovariance",
     "InvalidBatchError",
-    "RunningMoments",
     "SparseMoments",
-    "adjustment_matrix",
     "aggregate_pair_updates",
     "correlation_matrix",
     "dense_batch_products",

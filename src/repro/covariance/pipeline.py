@@ -3,11 +3,13 @@
 This is the glue that makes Algorithm 1/2 of the paper operate on raw data
 streams.  Responsibilities:
 
-* maintain per-feature running moments (mean for centering, std for the
-  correlation normalisation used throughout the paper's experiments);
-* expand each batch of samples into covariance-entry updates (dense GEMM
-  path or sparse pair-expansion path, section 5; ``fit_sparse`` picks the
-  cheaper one per batch, see :func:`gemm_union`);
+* maintain per-feature running moments (the std for the correlation
+  normalisation used throughout the paper's experiments);
+* expand each batch of samples into uncentered covariance-entry updates
+  (one GEMM over the batch's index union or pair expansion, section 5;
+  ``fit_sparse`` picks the cheaper one per batch, see :func:`gemm_union`).
+  Dense rows are samples that observe every feature, routed like any
+  batch: they take the GEMM route;
 * feed the updates to any streaming estimator (vanilla CS, ASCS, ASketch)
   through the uniform ``ingest(keys, values, num_samples)`` interface;
 * convert retrieval results back from flat pair keys to ``(i, j)`` pairs.
@@ -23,15 +25,13 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.covariance.running import RunningMoments, SparseMoments
+from repro.covariance.running import SparseMoments
 from repro.covariance.updates import (
-    InvalidBatchError,
-    adjustment_matrix,
     # Unused here; perfbench's tracer patches this name on this module.
     aggregate_pair_updates,  # noqa: F401
     dense_batch_products,
+    dense_rows_as_samples,
     sparse_batch_pairs,
-    triu_pair_values,
     union_pair_keys,
     validate_sparse_batch,
 )
@@ -40,7 +40,6 @@ from repro.sketch.topk import scan_top_keys
 
 __all__ = ["CovarianceSketcher"]
 
-_CENTERING_MODES = ("none", "running", "exact")
 _VALUE_MODES = ("covariance", "correlation")
 _MAX_DENSE_KEYS = 50_000_000
 
@@ -88,15 +87,10 @@ class CovarianceSketcher:
         Any object with ``ingest(keys, values, num_samples)`` and
         ``estimate(keys)`` — see :mod:`repro.core`.
     mode:
-        ``"covariance"`` sketches raw covariance mass; ``"correlation"``
-        normalises each sample by the running per-feature std first, so the
-        sketch estimates correlations directly (the paper's experimental
-        setting).
-    centering:
-        ``"none"`` (section-5 fast path, default), ``"running"`` (subtract
-        the running mean, skip the drift adjustment — the paper's
-        implementation choice, section 8.1) or ``"exact"`` (running mean
-        plus the section-4 adjustment; dense path only).
+        ``"covariance"`` sketches raw (uncentered, section 5) covariance
+        mass; ``"correlation"`` normalises each sample by the running
+        per-feature std first, so the sketch estimates correlations
+        directly (the paper's experimental setting).
     batch_size:
         Samples per ingest call.
     std_floor:
@@ -109,42 +103,32 @@ class CovarianceSketcher:
         estimator,
         *,
         mode: str = "correlation",
-        centering: str = "none",
         batch_size: int = 32,
         std_floor: float = 1e-6,
     ):
         if mode not in _VALUE_MODES:
             raise ValueError(f"mode must be one of {_VALUE_MODES}, got {mode!r}")
-        if centering not in _CENTERING_MODES:
-            raise ValueError(
-                f"centering must be one of {_CENTERING_MODES}, got {centering!r}"
-            )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.dim = int(dim)
         self.num_pairs = num_pairs(self.dim)
         self.estimator = estimator
         self.mode = mode
-        self.centering = centering
         self.batch_size = int(batch_size)
         self.std_floor = float(std_floor)
-        self.moments = RunningMoments(self.dim)
         self.sparse_moments = SparseMoments(self.dim)
         self.samples_seen = 0
         self._dense_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # Dense path
+    # Ingest
     # ------------------------------------------------------------------
     def _dense_pair_keys(self) -> np.ndarray:
+        """Every pair key ``0..p-1``, built once: the keys of a batch that
+        covers every feature (the caller checks ``p <= _MAX_DENSE_KEYS``)."""
         if self._dense_keys is None:
-            if self.num_pairs > _MAX_DENSE_KEYS:
-                raise ValueError(
-                    "dense path would materialise too many pair keys; "
-                    "use the sparse path for this dimension"
-                )
             self._dense_keys = np.arange(self.num_pairs, dtype=np.int64)
-            # The dense path re-hashes this exact array every batch; let
+            # Every full-cover batch re-hashes this exact array; let
             # cache-capable sketches precompute the buckets and signs.
             sketch = getattr(self.estimator, "sketch", None)
             if (
@@ -156,64 +140,16 @@ class CovarianceSketcher:
         return self._dense_keys
 
     def fit_dense(self, data: np.ndarray) -> "CovarianceSketcher":
-        """Stream a dense ``(n, d)`` array through the estimator in batches.
+        """Stream dense ``(n, d)`` rows through :meth:`fit_sparse`.
 
-        The whole array is checked first, so a non-finite value anywhere
-        refuses it before any batch is applied.
+        Each row is the sample ``(arange(d), row)``, so a batch of rows
+        takes the GEMM route over the whole feature set.  The rows form a
+        list, so a non-finite value anywhere refuses them all before any
+        batch is applied; a wrong shape raises
+        :class:`~repro.covariance.InvalidBatchError`.
         """
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim}), got {data.shape}")
-        _require_finite(data)
-        for start in range(0, data.shape[0], self.batch_size):
-            self.partial_fit_dense(data[start : start + self.batch_size])
-        return self
+        return self.fit_sparse(dense_rows_as_samples(data, self.dim))
 
-    def partial_fit_dense(self, batch: np.ndarray) -> None:
-        """Ingest one dense batch (rows are samples); refuse non-finite rows
-        before any state changes."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        _require_finite(batch)
-        b = batch.shape[0]
-        if b == 0:
-            return
-        if self.centering == "exact":
-            self._partial_fit_dense_exact(batch)
-            return
-        self.moments.update(batch)
-        center = self.moments.mean if self.centering == "running" else None
-        work = batch if center is None else batch - center
-        if self.mode == "correlation":
-            work = work / self.moments.std(floor=self.std_floor)
-        values = dense_batch_products(work)
-        self.estimator.ingest(self._dense_pair_keys(), values, num_samples=b)
-        self.samples_seen += b
-
-    def _partial_fit_dense_exact(self, batch: np.ndarray) -> None:
-        """Per-sample centered products plus the section-4 adjustment term.
-
-        Keeps the accumulated (unscaled) sketch content exactly equal to
-        ``sum_k (Y^k - mean_t)(Y^k - mean_t)`` after every sample.  O(d^2)
-        per sample — intended for validation, not production streams.
-        """
-        keys = self._dense_pair_keys()
-        for row in batch:
-            mean_old = self.moments.mean
-            t_prev = self.moments.count
-            self.moments.update(row[None, :])
-            mean_new = self.moments.mean
-            centered = row - mean_new
-            values = triu_pair_values(np.outer(centered, centered))
-            values += adjustment_matrix(mean_old, mean_new, t_prev)
-            if self.mode == "correlation":
-                std = self.moments.std(floor=self.std_floor)
-                values /= triu_pair_values(np.outer(std, std))
-            self.estimator.ingest(keys, values, num_samples=1)
-            self.samples_seen += 1
-
-    # ------------------------------------------------------------------
-    # Sparse path
-    # ------------------------------------------------------------------
     def fit_sparse(
         self,
         samples: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -226,12 +162,8 @@ class CovarianceSketcher:
         finds cheaper.  A sequence (a list, say) is all or nothing: every
         batch is checked before the first is applied.  Any other iterable
         is read batch by batch, so a bad sample raises after the batches
-        before its own were applied.  Centering other than ``"none"`` is
-        rejected: at sparse scale the paper's section-5 approximation
-        (means negligible vs stds) is the whole point of the fast path.
+        before its own were applied.
         """
-        if self.centering != "none":
-            raise ValueError("sparse path supports centering='none' only")
         size = self.batch_size
         if isinstance(samples, Sequence):
             checked = [
@@ -343,11 +275,6 @@ class CovarianceSketcher:
         # One shared fixed-buffer scan kernel (the serving snapshot builder
         # uses the same one with a two-sided rank transform).
         return scan_top_keys(self.estimate_keys, self.num_pairs, k, chunk=chunk)
-
-
-def _require_finite(rows: np.ndarray) -> None:
-    if not np.isfinite(rows).all():
-        raise InvalidBatchError("dense rows must be finite")
 
 
 def _iter_csr_rows(matrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -1,19 +1,14 @@
-"""Pair-product update computation (section 4 of the paper).
+"""Pair-product update computation (sections 4 and 5 of the paper).
 
 The stream of covariance increments is ``X_i^(t) = (Y_a - E Y_a)(Y_b - E Y_b)``
-for the pair ``i = (a, b)``.  Three practical variants are provided:
-
-* **uncentered** — ``Y_a Y_b`` directly; the paper's recommended fast path
-  (section 5) valid when feature means are negligible vs their stds.
-* **running-mean centered** — subtract the current running mean, skipping
-  the correction for the drift of earlier samples ("In the real experiments
-  ... we may just skip the adjustment term", section 4).
-* **exact centered** — running mean plus the closed-form ``adjustment`` term
-  of section 4, which keeps the sketch content exactly equal to the batch
-  centered co-moment at every time step.
-
-All three are expressed as batched matrix products so the dense path costs
-one ``d x d`` GEMM per batch regardless of batch size.
+for the pair ``i = (a, b)``.  Every writer here feeds the uncentered form
+``Y_a Y_b``: the paper's one-pass fast path (section 5), valid when feature
+means are negligible against their stds, and the only form a sparse sample
+can take without densifying it (section 4 notes the experiments may skip
+the mean adjustment).  A batch becomes updates either by one ``X^T X`` over
+its index union (:func:`dense_batch_products`) or by expanding each
+sample's pairs (:func:`sparse_batch_pairs`); a dense row is the sample
+that observes every feature (:func:`dense_rows_as_samples`).
 """
 
 from __future__ import annotations
@@ -28,11 +23,11 @@ __all__ = [
     "triu_pair_values",
     "dense_batch_products",
     "union_pair_keys",
-    "adjustment_matrix",
     "sparse_sample_pairs",
     "sparse_batch_pairs",
     "aggregate_pair_updates",
     "validate_sparse_batch",
+    "dense_rows_as_samples",
     "InvalidBatchError",
 ]
 
@@ -58,18 +53,14 @@ def triu_pair_values(matrix: np.ndarray) -> np.ndarray:
     return np.take(matrix, _triu_flat(matrix.shape[0]))
 
 
-def dense_batch_products(
-    batch: np.ndarray, center: np.ndarray | None = None
-) -> np.ndarray:
+def dense_batch_products(batch: np.ndarray) -> np.ndarray:
     """Sum of pair products over a dense batch, as a flat ``p``-vector.
 
-    Computes ``sum_t (y_t - c)(y_t - c)^T`` restricted to the strict upper
-    triangle, where ``c`` is ``center`` (or zero).  This equals the total
-    update mass a batch of samples contributes to every covariance entry.
+    Computes ``sum_t y_t y_t^T`` restricted to the strict upper triangle:
+    the total update mass a batch of samples contributes to every
+    covariance entry.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if center is not None:
-        batch = batch - np.asarray(center, dtype=np.float64)
     gram = batch.T @ batch
     return triu_pair_values(gram)
 
@@ -87,37 +78,6 @@ def union_pair_keys(union: np.ndarray, dim: int) -> np.ndarray:
     head = union[:-1]
     start = pair_to_index(head, head + 1, dim) - head - 1
     return triu_pair_values(np.add.outer(np.append(start, 0), union))
-
-
-def adjustment_matrix(
-    mean_old: np.ndarray,
-    mean_new: np.ndarray,
-    t_prev: int,
-) -> np.ndarray:
-    """The section-4 ``adjustment`` term as a flat ``p``-vector.
-
-    When the running mean moves from ``mean_old`` (over ``t_prev`` samples)
-    to ``mean_new`` (over ``t_prev + 1``), the ``t_prev`` previously
-    inserted centered products must be corrected by::
-
-        sum_k (y_k - m_new)(y_k - m_new)^T - sum_k (y_k - m_old)(y_k - m_old)^T
-            = t_prev * d d^T,    d = m_old - m_new
-
-    (the cross terms vanish because ``sum_k (y_k - m_old) = 0``).  Adding
-    this to the newly inserted ``(y_new - m_new)`` product keeps the
-    accumulated sum exactly equal to the batch centered co-moment at every
-    step — verified against :class:`repro.covariance.ExactCovariance` in
-    the tests.
-
-    Note: the paper's printed expression,
-    ``(t+1) d_a d_b + e_a d_b + d_a e_b`` with ``e = y_new - m_old``, is the
-    variant that pairs with centering the *new* sample by the **old** mean;
-    both variants agree with this one after simplification (``d`` is
-    proportional to ``e``), and this closed form is the one that is exact
-    for the new-mean centering the pipeline uses.
-    """
-    d = np.asarray(mean_old, dtype=np.float64) - np.asarray(mean_new, dtype=np.float64)
-    return triu_pair_values(t_prev * np.outer(d, d))
 
 
 def sparse_sample_pairs(
@@ -270,6 +230,22 @@ def validate_sparse_batch(
         if ((ordered[1:] == ordered[:-1]) & (sample[1:] == sample[:-1])).any():
             raise InvalidBatchError("a sample repeats an index")
     return indices, values, lengths
+
+
+def dense_rows_as_samples(rows, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Dense ``(n, dim)`` rows as sparse samples that observe every feature.
+
+    Each row becomes ``(arange(dim), row)``, all sharing one index array,
+    so every writer takes dense rows through its own ``fit_sparse``; such a
+    batch takes the GEMM route over the full feature set.  Raises
+    :class:`InvalidBatchError` on any other shape; values are checked with
+    the rest of the batch by :func:`validate_sparse_batch`.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise InvalidBatchError(f"expected shape (n, {dim}), got {rows.shape}")
+    features = np.arange(dim, dtype=np.int64)
+    return [(features, row) for row in rows]
 
 
 def aggregate_pair_updates(

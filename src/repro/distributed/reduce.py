@@ -109,7 +109,6 @@ def merge_shard_results(shards: Sequence[ShardResult]) -> CovarianceSketcher:
         spec.dim,
         estimator,
         mode=spec.mode,
-        centering="none",
         batch_size=spec.batch_size,
         std_floor=spec.std_floor,
     )

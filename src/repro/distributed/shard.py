@@ -201,7 +201,6 @@ class ShardSpec:
             self.dim,
             self.build_estimator(),
             mode=self.mode,
-            centering="none",
             batch_size=self.batch_size,
             std_floor=self.std_floor,
         )

@@ -53,7 +53,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.covariance.updates import InvalidBatchError, validate_sparse_batch
+from repro.covariance.updates import (
+    InvalidBatchError,
+    dense_rows_as_samples,
+    validate_sparse_batch,
+)
 from repro.distributed.shard import (
     ShardSpec,
     extract_shard_result,
@@ -633,17 +637,13 @@ class DurableSketcher:
         return self
 
     def fit_dense(self, batch) -> "DurableSketcher":
-        """Journal and apply dense rows as sparse samples.
+        """Journal and apply dense rows as samples over every feature.
 
-        Each row becomes one ``(arange(d), row)`` sample, since the WAL
-        records sparse batches; ``fit_sparse`` then sends the batch through
-        one GEMM instead of expanding its pairs.
+        The WAL records sparse batches, so each row is journalled as one
+        ``(arange(d), row)`` sample; ``fit_sparse`` then sends the batch
+        through one GEMM instead of expanding its pairs.
         """
-        rows = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim}), got {rows.shape}")
-        features = np.arange(self.dim, dtype=np.int64)
-        return self.fit_sparse([(features, row) for row in rows])
+        return self.fit_sparse(dense_rows_as_samples(batch, self.dim))
 
     @property
     def dim(self) -> int:

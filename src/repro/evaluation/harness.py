@@ -124,9 +124,7 @@ def run_method(
         two_sided=two_sided,
         observer=observer,
     )
-    sketcher = CovarianceSketcher(
-        d, estimator, mode=mode, centering="none", batch_size=batch_size
-    )
+    sketcher = CovarianceSketcher(d, estimator, mode=mode, batch_size=batch_size)
 
     start = time.perf_counter()
     sketcher.fit_dense(data)
@@ -230,7 +228,7 @@ def run_sparse_method(
         track_top=track_top,
     )
     sketcher = CovarianceSketcher(
-        dim, estimator, mode="correlation", centering="none", batch_size=batch_size
+        dim, estimator, mode="correlation", batch_size=batch_size
     )
     start = time.perf_counter()
     sketcher.fit_sparse(stream_factory())

@@ -343,11 +343,13 @@ class ServingEstimator:
 
     def ingest_dense(self, batch: np.ndarray) -> None:
         """Stream a dense ``(n, d)`` batch into the write side, under the
-        same breaker discipline as :meth:`ingest_sparse`."""
+        same breaker discipline as :meth:`ingest_sparse`.  Every write side
+        takes the rows as samples that observe every feature, so a wrong
+        width is a refusal (:class:`~repro.covariance.InvalidBatchError`)."""
         self.breaker.before_call()
         try:
             with self._ingest_seconds.time(), self._write_lock:
-                self.sketcher.fit_dense(np.atleast_2d(np.asarray(batch)))
+                self.sketcher.fit_dense(batch)
         except InvalidBatchError:
             self.breaker.record_refusal()
             raise

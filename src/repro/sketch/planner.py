@@ -37,7 +37,7 @@ from repro.sketch.storage import STORAGE_DTYPES, resolve_storage
 __all__ = ["CapacityPlan", "ObservedSignals", "Replan", "plan", "replan"]
 
 
-def _require_finite(name: str, value) -> float:
+def _finite_knob(name: str, value) -> float:
     """Reject NaN/inf knobs before they poison a quantum downstream.
 
     ``NaN <= 0`` is False, so a NaN budget or value range sails past every
@@ -230,15 +230,15 @@ def plan(
     """
     if n_features < 2:
         raise ValueError(f"n_features must be >= 2, got {n_features}")
-    budget_mb = _require_finite("budget_mb", budget_mb)
+    budget_mb = _finite_knob("budget_mb", budget_mb)
     if budget_mb <= 0:
         raise ValueError(f"budget_mb must be > 0, got {budget_mb}")
     if num_tables < 1:
         raise ValueError(f"num_tables must be >= 1, got {num_tables}")
-    value_range = _require_finite("value_range", value_range)
+    value_range = _finite_knob("value_range", value_range)
     if value_range <= 0:
         raise ValueError(f"value_range must be > 0, got {value_range}")
-    headroom = _require_finite("headroom", headroom)
+    headroom = _finite_knob("headroom", headroom)
     if headroom < 1.0:
         raise ValueError(f"headroom must be >= 1, got {headroom}")
     if levels < 1:
@@ -247,14 +247,14 @@ def plan(
         raise ValueError(f"branching must be >= 2, got {branching}")
     if quantization_tolerance is None:
         if target_f1 is not None:
-            target_f1 = _require_finite("target_f1", target_f1)
+            target_f1 = _finite_knob("target_f1", target_f1)
             if not 0.0 < target_f1 < 1.0:
                 raise ValueError(f"target_f1 must be in (0, 1), got {target_f1}")
             quantization_tolerance = min(max(1.0 - target_f1, 1e-5), 0.05)
         else:
             quantization_tolerance = 1e-3
     else:
-        quantization_tolerance = _require_finite(
+        quantization_tolerance = _finite_knob(
             "quantization_tolerance", quantization_tolerance
         )
 
@@ -431,11 +431,11 @@ def replan(
         ("demote_collision_floor", demote_collision_floor),
     ):
         if threshold is not None:
-            _require_finite(name, threshold)
-    growth = _require_finite("growth", growth)
+            _finite_knob(name, threshold)
+    growth = _finite_knob("growth", growth)
     if growth <= 1.0:
         raise ValueError(f"growth must be > 1, got {growth}")
-    window_shrink = _require_finite("window_shrink", window_shrink)
+    window_shrink = _finite_knob("window_shrink", window_shrink)
     if not 0.0 < window_shrink < 1.0:
         raise ValueError(f"window_shrink must be in (0, 1), got {window_shrink}")
 

@@ -20,7 +20,6 @@ snapshot swaps expose ``window_span`` / ``decay`` through the HTTP
 
 from repro.sketch.decay import DecayedSketch, decay_from_half_life
 from repro.streaming.decay import (
-    DecayedRunningMoments,
     DecayedSketchEstimator,
     DecayedSparseMoments,
     DecayingSketcher,
@@ -29,7 +28,6 @@ from repro.streaming.decay import (
 from repro.streaming.windows import PaneRing
 
 __all__ = [
-    "DecayedRunningMoments",
     "DecayedSketch",
     "DecayedSketchEstimator",
     "DecayedSparseMoments",

@@ -1,17 +1,19 @@
 """Recency-weighted (exponentially decayed) streaming estimation.
 
 The write-side counterpart of :class:`repro.sketch.DecayedSketch`: the
-moment trackers, the estimator and the pipeline subclass that together turn
+moment tracker, the estimator and the pipeline subclass that together turn
 the one-pass covariance sketcher into an *online* estimator whose answers
 track the recent stream instead of the all-time average.
 
 Decay is clocked in **samples**: every ingested batch of ``b`` samples ages
 all previously accumulated mass by ``gamma**b`` before the new batch enters
 at full weight (batch-granular decay — the same coarsening batching already
-applies to the ASCS sampling decisions).  All aging is lazy scalar work:
-the sketch keeps one pending scale (see :mod:`repro.sketch.decay`) and the
-moment trackers keep one each, so the fused scatter/gather hot paths and
-the O(nnz) moment updates are untouched.
+applies to the ASCS sampling decisions).  Dense rows age it the same way:
+``fit_dense`` feeds them through ``fit_sparse`` as samples that observe
+every feature.  All aging is lazy scalar work: the sketch keeps one
+pending scale (see :mod:`repro.sketch.decay`) and the moment tracker keeps
+another, so the fused scatter/gather hot paths and the O(nnz) moment
+updates are untouched.
 
 Estimates are **decayed means**: with decayed mass ``S(t) = sum_k
 gamma^(t - t_k) v_k`` and decayed weight ``W(t) = sum_k gamma^(t - t_k)``,
@@ -32,26 +34,30 @@ from repro.sketch.count_sketch import CountSketch
 from repro.sketch.decay import DecayedSketch, decay_from_half_life
 
 __all__ = [
-    "DecayedRunningMoments",
     "DecayedSparseMoments",
     "DecayedSketchEstimator",
     "DecayingSketcher",
     "make_decaying_sketcher",
 ]
 
-#: Lazy-scale flush bound shared by the moment trackers (see DecayedSketch).
+#: Lazy-scale flush bound of the moment tracker (see DecayedSketch).
 _FLUSH_BELOW = 2.0**-40
 
 
-class _LazyDecayedMoments:
-    """Shared lazy-scale accumulator state for the decayed moment trackers.
+class DecayedSparseMoments:
+    """Decayed per-feature moments for sparse streams — O(nnz) updates.
+
+    The recency-weighted analogue of
+    :class:`repro.covariance.SparseMoments`: ``mean`` and ``variance`` are
+    computed from exponentially decayed ``sum`` / ``sum of squares`` /
+    sample-weight accumulators.  ``weight`` (the decayed effective count)
+    replaces ``count`` in every ratio.
 
     Accumulators store values in a floating unit: the *actual* decayed
     accumulator is ``stored * _scale``.  Aging multiplies ``_scale`` (O(1));
     additions divide the incoming contribution by ``_scale`` (same cost as
     the undecayed update); ratios like ``mean = sum / weight`` never need
-    the scale at all because it cancels.  Subclasses add only their update
-    shape (dense batches vs sparse index/value pairs).
+    the scale at all because it cancels.
     """
 
     def __init__(self, dim: int, gamma: float):
@@ -82,37 +88,6 @@ class _LazyDecayedMoments:
         self._scale = 1.0
         self.flushes += 1
 
-    @property
-    def weight(self) -> float:
-        """Decayed effective sample count ``sum_k gamma^(age_k)``."""
-        return self._weight * self._scale
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self._weight == 0.0:
-            return np.zeros(self.dim)
-        return self._sum / self._weight
-
-    def variance(self) -> np.ndarray:
-        if self._weight == 0.0:
-            return np.full(self.dim, np.nan)
-        mean = self._sum / self._weight
-        return np.maximum(self._sumsq / self._weight - mean * mean, 0.0)
-
-    def std(self, floor: float = 0.0) -> np.ndarray:
-        return np.maximum(np.sqrt(self.variance()), floor)
-
-
-class DecayedSparseMoments(_LazyDecayedMoments):
-    """Decayed per-feature moments for sparse streams — O(nnz) updates.
-
-    The recency-weighted analogue of
-    :class:`repro.covariance.SparseMoments`: ``mean`` and ``variance`` are
-    computed from exponentially decayed ``sum`` / ``sum of squares`` /
-    sample-weight accumulators.  ``weight`` (the decayed effective count)
-    replaces ``count`` in every ratio.
-    """
-
     def update_batch(
         self, indices: np.ndarray, values: np.ndarray, num_samples: int
     ) -> None:
@@ -136,32 +111,25 @@ class DecayedSparseMoments(_LazyDecayedMoments):
         self.count += int(num_samples)
         self._weight += int(num_samples) / self._scale
 
+    @property
+    def weight(self) -> float:
+        """Decayed effective sample count ``sum_k gamma^(age_k)``."""
+        return self._weight * self._scale
 
-class DecayedRunningMoments(_LazyDecayedMoments):
-    """Decayed per-feature mean/variance for dense batch streams.
+    @property
+    def mean(self) -> np.ndarray:
+        if self._weight == 0.0:
+            return np.zeros(self.dim)
+        return self._sum / self._weight
 
-    Drop-in for the pipeline's :class:`repro.covariance.RunningMoments`
-    duties (``update`` / ``mean`` / ``std``), computed from decayed sum and
-    sum-of-squares accumulators rather than a Welford recursion (decay and
-    Welford's centered M2 do not compose exactly; the sum form does).
-    """
+    def variance(self) -> np.ndarray:
+        if self._weight == 0.0:
+            return np.full(self.dim, np.nan)
+        mean = self._sum / self._weight
+        return np.maximum(self._sumsq / self._weight - mean * mean, 0.0)
 
-    def update(self, batch: np.ndarray) -> None:
-        """Age existing mass by ``gamma**b``, then fold a ``(b, dim)`` batch in."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        if batch.shape[1] != self.dim:
-            raise ValueError(
-                f"batch has {batch.shape[1]} features, expected {self.dim}"
-            )
-        b = batch.shape[0]
-        if b == 0:
-            return
-        self._age(b)
-        inv = 1.0 / self._scale
-        self._sum += batch.sum(axis=0) * inv
-        self._sumsq += (batch * batch).sum(axis=0) * inv
-        self.count += b
-        self._weight += b * inv
+    def std(self, floor: float = 0.0) -> np.ndarray:
+        return np.maximum(np.sqrt(self.variance()), floor)
 
 
 class DecayedSketchEstimator(SketchEstimator):
@@ -246,15 +214,15 @@ class DecayingSketcher(CovarianceSketcher):
     """Covariance pipeline whose sketch *and* moments forget exponentially.
 
     A drop-in :class:`repro.covariance.CovarianceSketcher` subclass: the
-    per-feature moment trackers are replaced with their decayed variants
-    (so correlation-mode normalisation uses the *recent* stds) and the
+    per-feature moment tracker is replaced with its decayed variant (so
+    correlation-mode normalisation uses the *recent* stds) and the
     estimator is expected to tick the sketch's decay clock per batch
     (:class:`DecayedSketchEstimator` does).  Build one with
     :func:`make_decaying_sketcher`.
 
     ``registry`` (a :class:`repro.obs.MetricsRegistry`, optional) receives
-    the decay telemetry: lazy-scale flush count across the moment
-    trackers, the decayed effective weight, and the configured gamma —
+    the decay telemetry: the moment tracker's lazy-scale flush count, the
+    decayed effective weight, and the configured gamma —
     all evaluated at collect time, so the ingest hot path is untouched.
     """
 
@@ -269,14 +237,13 @@ class DecayingSketcher(CovarianceSketcher):
     ):
         super().__init__(dim, estimator, **kwargs)
         self.decay = float(gamma)
-        self.moments = DecayedRunningMoments(self.dim, self.decay)
         self.sparse_moments = DecayedSparseMoments(self.dim, self.decay)
         self.registry = registry if registry is not None else NullRegistry()
         reg = self.registry
         reg.gauge_fn(
             "repro_decay_flushes",
-            lambda: self.moments.flushes + self.sparse_moments.flushes,
-            "lazy-scale flushes across the decayed moment trackers",
+            lambda: self.sparse_moments.flushes,
+            "lazy-scale flushes of the decayed moment tracker",
         )
         reg.gauge_fn(
             "repro_decay_weight",
@@ -343,7 +310,6 @@ def make_decaying_sketcher(
         gamma=gamma,
         registry=registry,
         mode=mode,
-        centering="none",
         batch_size=batch_size,
         std_floor=std_floor,
     )

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.covariance.pipeline import CovarianceSketcher
-from repro.covariance.updates import validate_sparse_batch
+from repro.covariance.updates import dense_rows_as_samples, validate_sparse_batch
 from repro.distributed.reduce import merge_shard_results
 from repro.distributed.shard import (
     ShardResult,
@@ -273,10 +273,8 @@ class PaneRing:
         return self
 
     def fit_dense(self, batch) -> "PaneRing":
-        raise NotImplementedError(
-            "PaneRing windows are sparse-only (panes are ShardResults); "
-            "convert dense rows to sparse samples upstream"
-        )
+        """Ingest dense rows as samples that observe every feature."""
+        return self.fit_sparse(dense_rows_as_samples(batch, self.spec.dim))
 
     def rotate(self) -> ShardResult | None:
         """Close the open pane into an immutable :class:`ShardResult`.

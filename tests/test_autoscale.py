@@ -13,7 +13,6 @@ import pytest
 from repro.autoscale import AutoScaler, plan_from_spec
 from repro.autoscale.scaler import observed_saturation
 from repro.distributed.shard import ShardSpec, spec_with
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import AccuracyProbe
 from repro.serving import ServingEstimator
 from repro.sketch.planner import ObservedSignals, Replan, plan, replan

@@ -202,6 +202,49 @@ class TestCrashRecoveryBitIdentity:
         )
         assert recovered.samples_seen == reference.samples_seen
 
+    def test_windowed_dense_recovery_bit_identical(self, tmp_path):
+        """Dense rows reach a durable window as full-width samples too."""
+        from repro.streaming import PaneRing
+
+        spec = SPECS["float64"]
+        rng = np.random.default_rng(17)
+        batches = [
+            rng.integers(-3, 4, size=(8, spec.dim)).astype(np.float64)
+            for _ in range(14)
+        ]
+        reference = PaneRing(spec, num_panes=3, pane_samples=32)
+        for rows in batches:
+            reference.fit_dense(rows)
+
+        fs = FaultyFS(kill_at_bytes=12000)
+        durable = DurableSketcher(
+            tmp_path, spec, num_panes=3, pane_samples=32,
+            checkpoint_every=4, open_fn=fs,
+        )
+        crashed_at = None
+        for index, rows in enumerate(batches):
+            try:
+                durable.fit_dense(rows)
+            except SimulatedCrash:
+                crashed_at = index
+                break
+        assert crashed_at is not None, "kill budget never fired"
+
+        recovered = DurableSketcher(tmp_path, checkpoint_every=4)
+        for rows in batches[crashed_at:]:
+            recovered.fit_dense(rows)
+        recovered.close()
+        assert recovered.samples_seen == reference.samples_seen
+        assert recovered.rotations == reference.rotations
+        np.testing.assert_array_equal(
+            recovered.window().estimator.sketch.table,
+            reference.window().estimator.sketch.table,
+        )
+        np.testing.assert_array_equal(
+            recovered.window().sparse_moments._sumsq,
+            reference.window().sparse_moments._sumsq,
+        )
+
     @pytest.mark.parametrize("storage", sorted(SPECS))
     def test_double_crash_still_recovers(self, storage, tmp_path):
         """A crash during the *recovered* run must also be recoverable."""
@@ -742,6 +785,34 @@ class TestDurableCheckpoints:
         self._refuse_then_recover(
             tmp_path, (np.array([3, 9]), np.array([1.0, bad_value]))
         )
+
+    @pytest.mark.parametrize("fault", ["wrong-width", "nan", "inf"])
+    def test_refused_dense_rows_are_not_journalled(self, fault, tmp_path):
+        spec = SPECS["float64"]
+        rng = np.random.default_rng(8)
+        batches = [rng.standard_normal((4, spec.dim)) for _ in range(3)]
+        bad = rng.standard_normal((6, spec.dim))
+        if fault == "wrong-width":
+            bad = bad[:, 1:]
+        else:
+            bad[-1, 5] = np.nan if fault == "nan" else np.inf
+        durable = DurableSketcher(tmp_path, spec, checkpoint_every=0)
+        durable.fit_dense(batches[0])
+        with pytest.raises(InvalidBatchError):
+            durable.fit_dense(bad)
+        for rows in batches[1:]:
+            durable.fit_dense(rows)
+        assert durable.journal.stats()["records_written"] == 3
+        assert durable.samples_seen == 12
+        durable.close()
+
+        recovered = DurableSketcher(tmp_path)
+        recovered.close()
+        assert recovered.replayed_records == 3
+        reference = spec.build_sketcher()
+        for rows in batches:
+            reference.fit_dense(rows)
+        _assert_bit_identical(recovered, reference, spec)
 
     def _refuse_then_recover(self, tmp_path, bad_sample):
         spec = SPECS["float64"]

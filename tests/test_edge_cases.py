@@ -11,38 +11,6 @@ from repro.sketch.augmented import AugmentedSketch
 from repro.sketch.count_sketch import CountSketch
 
 
-class TestCorrelationWithRunningCentering:
-    def test_combined_modes_estimate_correlations(self, rng):
-        """correlation mode + running centering: shifted, scaled data."""
-        d, n = 12, 4000
-        data = rng.standard_normal((n, d)) * np.arange(1, d + 1) + 50.0
-        data[:, 4] = 0.75 * (data[:, 2] - 50) / 3 * 5 + 0.66 * (data[:, 4] - 50) + 50
-        est = SketchEstimator(CountSketch(5, 4096, seed=2), n)
-        sk = CovarianceSketcher(
-            d, est, mode="correlation", centering="running", batch_size=100
-        )
-        sk.fit_dense(data)
-        truth = np.corrcoef(data.T)
-        i, j, vals = sk.top_pairs(1, scan=True)
-        true_top = np.unravel_index(
-            np.argmax(np.abs(np.triu(truth, k=1))), truth.shape
-        )
-        assert {int(i[0]), int(j[0])} == set(true_top)
-
-    def test_exact_centering_with_correlation_mode(self, rng):
-        d, n = 8, 64
-        data = rng.standard_normal((n, d)) + 7.0
-        est = SketchEstimator(CountSketch(5, 4096, seed=3), n)
-        sk = CovarianceSketcher(
-            d, est, mode="correlation", centering="exact", batch_size=16
-        )
-        sk.fit_dense(data)
-        keys = np.arange(d * (d - 1) // 2)
-        got = sk.estimate_keys(keys)
-        assert np.isfinite(got).all()
-        assert np.abs(got).max() <= 1.5  # correlation-scale values
-
-
 class TestAugmentedExchangeCadence:
     def test_delayed_exchange_still_converges(self):
         asx = AugmentedSketch(

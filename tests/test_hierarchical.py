@@ -251,8 +251,7 @@ class TestOpenWorldAcceptance:
             sketch, 4096, name="HCS", two_sided=True, track_top=0
         )
         pipeline = CovarianceSketcher(
-            self.DIM, estimator, mode="correlation", centering="none",
-            batch_size=64,
+            self.DIM, estimator, mode="correlation", batch_size=64
         )
         pipeline.fit_dense(samples)
         # top_index=0: the snapshot holds NO materialized pair index.

@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from repro.obs.log import configure, get_logger
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    NullRegistry,
-    render_exposition,
-)
+from repro.obs.metrics import MetricsRegistry, NullRegistry, render_exposition
 from repro.obs.probe import AccuracyProbe
 from repro.obs.tracing import Tracer
 from repro.serving.cache import LRUCache

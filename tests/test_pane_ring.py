@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import ThresholdSchedule
+from repro.covariance import InvalidBatchError
 from repro.distributed.shard import ShardSpec
 from repro.streaming import PaneRing
 
@@ -176,6 +177,67 @@ class TestWindowMergeLaw:
             ring.window().estimator.sketch.table,
             reference.estimator.sketch.table,
         )
+
+
+def _integer_rows(rng, n, dim=48):
+    """Dense rows with integer values — exact partial sums."""
+    return rng.integers(-4, 5, size=(n, dim)).astype(np.float64)
+
+
+class TestDenseRows:
+    """A dense row enters the ring as the sample ``(arange(d), row)``."""
+
+    def test_fit_dense_equals_full_width_samples(self, rng):
+        spec = _spec(dim=48)
+        rows = _integer_rows(rng, 6 * BATCH + 3)
+        dense = PaneRing(spec, num_panes=3, pane_samples=2 * BATCH)
+        sparse = PaneRing(spec, num_panes=3, pane_samples=2 * BATCH)
+        for chunk in (rows[:13], rows[13:]):
+            dense.fit_dense(chunk)
+            sparse.fit_sparse([(np.arange(48), row) for row in chunk])
+        assert (dense.samples_seen, dense.rotations) == (
+            sparse.samples_seen,
+            sparse.rotations,
+        )
+        np.testing.assert_array_equal(
+            dense.window().estimator.sketch.table,
+            sparse.window().estimator.sketch.table,
+        )
+        np.testing.assert_array_equal(
+            dense.window().sparse_moments._sumsq,
+            sparse.window().sparse_moments._sumsq,
+        )
+
+    def test_window_of_dense_rows_matches_a_fit_of_the_retained_rows(self, rng):
+        spec = _spec(dim=48)
+        pane_samples = 2 * BATCH
+        rows = _integer_rows(rng, 5 * pane_samples)
+        ring = PaneRing(spec, num_panes=2, pane_samples=pane_samples)
+        ring.fit_dense(rows)
+        assert ring.rotations == 4
+        assert ring.window_span == 2 * pane_samples
+        reference = spec.build_sketcher().fit_dense(rows[-2 * pane_samples :])
+        window = ring.window()
+        np.testing.assert_array_equal(
+            window.estimator.sketch.table, reference.estimator.sketch.table
+        )
+        np.testing.assert_array_equal(
+            window.sparse_moments._sum, reference.sparse_moments._sum
+        )
+
+    def test_wrong_width_rows_fill_nothing(self, rng):
+        ring = PaneRing(_spec(dim=48), num_panes=2, pane_samples=BATCH)
+        with pytest.raises(InvalidBatchError, match=r"shape \(n, 48\)"):
+            ring.fit_dense(_integer_rows(rng, 3 * BATCH, dim=47))
+        assert (ring.samples_seen, ring.rotations) == (0, 0)
+
+    def test_a_non_finite_row_refuses_the_whole_call(self, rng):
+        ring = PaneRing(_spec(dim=48), num_panes=4, pane_samples=BATCH)
+        rows = _integer_rows(rng, 3 * BATCH)
+        rows[-1, 7] = np.inf
+        with pytest.raises(InvalidBatchError, match="finite"):
+            ring.fit_dense(rows)
+        assert (ring.samples_seen, ring.rotations) == (0, 0)
 
 
 class TestPersistence:

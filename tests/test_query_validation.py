@@ -39,9 +39,7 @@ def snapshot():
     estimator = SketchEstimator(
         CountSketch(3, 512, seed=31), total_samples=64, track_top=0
     )
-    sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=16
-    )
+    sketcher = CovarianceSketcher(DIM, estimator, mode="covariance", batch_size=16)
     sketcher.fit_dense(rng.normal(size=(64, DIM)))
     snap = SketchSnapshot.from_sketcher(sketcher, top_index=64)
     assert snap.index_size == 64  # enough rows to expose slicing bugs

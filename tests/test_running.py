@@ -1,78 +1,18 @@
-"""Tests for streaming moment trackers (repro.covariance.running)."""
+"""Tests for the streaming moment tracker (repro.covariance.running)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.covariance.running import ExactCovariance, RunningMoments, SparseMoments
+from repro.covariance.running import SparseMoments
+from repro.covariance.updates import dense_rows_as_samples, validate_sparse_batch
 
 
-class TestRunningMoments:
-    def test_invalid_dim(self):
-        with pytest.raises(ValueError):
-            RunningMoments(0)
-
-    def test_matches_numpy_batch(self, rng):
-        data = rng.standard_normal((500, 7)) * 3 + 1
-        mom = RunningMoments(7)
-        mom.update(data)
-        np.testing.assert_allclose(mom.mean, data.mean(axis=0), atol=1e-10)
-        np.testing.assert_allclose(mom.variance(), data.var(axis=0), atol=1e-10)
-        np.testing.assert_allclose(
-            mom.variance(ddof=1), data.var(axis=0, ddof=1), atol=1e-10
-        )
-
-    def test_incremental_equals_batch(self, rng):
-        data = rng.standard_normal((200, 5))
-        inc = RunningMoments(5)
-        for start in range(0, 200, 17):
-            inc.update(data[start : start + 17])
-        batch = RunningMoments(5)
-        batch.update(data)
-        np.testing.assert_allclose(inc.mean, batch.mean, atol=1e-10)
-        np.testing.assert_allclose(inc.variance(), batch.variance(), atol=1e-10)
-
-    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_any_batch_split_is_equivalent(self, splits):
-        rng = np.random.default_rng(sum(splits))
-        data = rng.standard_normal((sum(splits), 3))
-        inc = RunningMoments(3)
-        start = 0
-        for b in splits:
-            inc.update(data[start : start + b])
-            start += b
-        np.testing.assert_allclose(inc.mean, data.mean(axis=0), atol=1e-9)
-        np.testing.assert_allclose(inc.variance(), data.var(axis=0), atol=1e-9)
-
-    def test_single_row_update(self):
-        mom = RunningMoments(3)
-        mom.update(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(mom.mean, [1, 2, 3])
-        assert mom.count == 1
-
-    def test_std_floor(self):
-        mom = RunningMoments(2)
-        mom.update(np.zeros((10, 2)))
-        assert (mom.std(floor=1e-3) == 1e-3).all()
-
-    def test_variance_before_data_is_nan(self):
-        assert np.isnan(RunningMoments(2).variance()).all()
-
-    def test_empty_batch_noop(self):
-        mom = RunningMoments(2)
-        mom.update(np.empty((0, 2)))
-        assert mom.count == 0
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ValueError, match="features"):
-            RunningMoments(3).update(np.ones((5, 4)))
-
-    def test_update_sparse(self):
-        mom = RunningMoments(4)
-        mom.update_sparse(np.array([1, 3]), np.array([2.0, 5.0]))
-        np.testing.assert_allclose(mom.mean, [0, 2, 0, 5])
+def _fold_rows(moments, rows):
+    """Feed dense rows the way every writer does: as full-width samples."""
+    indices, values, lengths = validate_sparse_batch(
+        dense_rows_as_samples(rows, moments.dim), moments.dim
+    )
+    moments.update_batch(indices, values, lengths.size)
 
 
 class TestSparseMoments:
@@ -113,45 +53,58 @@ class TestSparseMoments:
         assert (mom.mean == 0).all()
         assert np.isnan(mom.variance()).all()
 
+    def test_invalid_dim(self):
+        with pytest.raises(ValueError, match="dim"):
+            SparseMoments(0)
 
-class TestExactCovariance:
-    def test_matches_numpy_cov(self, rng):
-        data = rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6))
-        cov = ExactCovariance(6)
-        cov.update(data)
-        np.testing.assert_allclose(
-            cov.covariance(), np.cov(data.T, bias=True), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            cov.covariance(ddof=1), np.cov(data.T), atol=1e-10
-        )
+    def test_full_width_samples_match_numpy(self, rng):
+        rows = rng.standard_normal((300, 6)) * np.arange(1, 7) + 0.03
+        mom = SparseMoments(6)
+        _fold_rows(mom, rows)
+        assert mom.count == 300
+        np.testing.assert_allclose(mom.mean, rows.mean(axis=0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mom.variance(), rows.var(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(mom.std(), rows.std(axis=0), rtol=1e-12)
 
-    def test_incremental_equals_batch(self, rng):
-        data = rng.standard_normal((150, 4))
-        inc = ExactCovariance(4)
-        for start in range(0, 150, 13):
-            inc.update(data[start : start + 13])
-        np.testing.assert_allclose(
-            inc.covariance(), np.cov(data.T, bias=True), atol=1e-10
-        )
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_any_batch_split_is_equivalent(self, batch, rng):
+        """Plain sums of integer values: every split is exact."""
+        rows = rng.integers(-9, 10, size=(64, 5)).astype(np.float64)
+        whole, split = SparseMoments(5), SparseMoments(5)
+        _fold_rows(whole, rows)
+        for start in range(0, rows.shape[0], batch):
+            _fold_rows(split, rows[start : start + batch])
+        assert split.count == whole.count
+        np.testing.assert_array_equal(split._sum, whole._sum)
+        np.testing.assert_array_equal(split._sumsq, whole._sumsq)
 
-    def test_correlation_matches_corrcoef(self, rng):
-        data = rng.standard_normal((400, 5)) * np.array([1, 2, 3, 4, 5])
-        cov = ExactCovariance(5)
-        cov.update(data)
-        np.testing.assert_allclose(cov.correlation(), np.corrcoef(data.T), atol=1e-10)
+    def test_empty_batch_noop(self):
+        mom = SparseMoments(4)
+        mom.update_batch(np.array([1, 2]), np.array([2.0, -1.0]), 1)
+        sums, sumsq = mom._sum.copy(), mom._sumsq.copy()
+        mom.update_batch(np.empty(0, dtype=np.int64), np.empty(0), 0)
+        assert mom.count == 1
+        np.testing.assert_array_equal(mom._sum, sums)
+        np.testing.assert_array_equal(mom._sumsq, sumsq)
 
-    def test_dead_feature_correlation_is_zero(self):
-        data = np.random.default_rng(1).standard_normal((50, 3))
-        data[:, 1] = 7.0  # constant feature
-        cov = ExactCovariance(3)
-        cov.update(data)
-        corr = cov.correlation()
-        assert (corr[1, :] == 0).all() and (corr[:, 1] == 0).all()
-        assert np.isfinite(corr).all()
+    def test_samples_without_non_zeros_still_count(self):
+        """An absent feature is an observed zero: it dilutes the mean."""
+        mom = SparseMoments(3)
+        mom.update_batch(np.array([0]), np.array([6.0]), 1)
+        mom.update_batch(np.empty(0, dtype=np.int64), np.empty(0), 2)
+        assert mom.count == 3
+        np.testing.assert_allclose(mom.mean, [2.0, 0.0, 0.0])
+        np.testing.assert_allclose(mom.variance(), [8.0, 0.0, 0.0])
 
-    def test_mean_property(self, rng):
-        data = rng.standard_normal((80, 3)) + 5
-        cov = ExactCovariance(3)
-        cov.update(data)
-        np.testing.assert_allclose(cov.mean, data.mean(axis=0), atol=1e-12)
+    def test_single_sample_has_zero_variance(self, rng):
+        row = rng.standard_normal(5)
+        mom = SparseMoments(5)
+        _fold_rows(mom, row)
+        np.testing.assert_array_equal(mom.mean, row)
+        np.testing.assert_allclose(mom.variance(), 0.0, atol=1e-15)
+
+    def test_std_floor(self):
+        mom = SparseMoments(3)
+        _fold_rows(mom, np.array([[1.0, 5.0, 0.0], [3.0, 5.0, 0.0]]))
+        np.testing.assert_allclose(mom.std(), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(mom.std(floor=0.5), [1.0, 0.5, 0.5])

@@ -19,9 +19,7 @@ def snapshot(rng):
     estimator = SketchEstimator(
         CountSketch(3, 1024, seed=21), total_samples=150, track_top=128
     )
-    sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=16
-    )
+    sketcher = CovarianceSketcher(DIM, estimator, mode="covariance", batch_size=16)
     samples = [
         (
             np.sort(rng.choice(DIM, size=5, replace=False)).astype(np.int64),

@@ -42,9 +42,7 @@ def _make_serving(rng) -> ServingEstimator:
     estimator = SketchEstimator(
         CountSketch(3, 512, seed=31), total_samples=1000, track_top=128
     )
-    sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=16
-    )
+    sketcher = CovarianceSketcher(DIM, estimator, mode="covariance", batch_size=16)
     serving = ServingEstimator(sketcher, top_index=64, cache_size=256)
     serving.ingest_sparse(_make_samples(64, rng))
     serving.refresh()

@@ -31,9 +31,7 @@ def _make_serving(total_samples=10_000, **kwargs) -> ServingEstimator:
     estimator = SketchEstimator(
         CountSketch(3, 512, seed=13), total_samples=total_samples, track_top=128
     )
-    sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=16
-    )
+    sketcher = CovarianceSketcher(DIM, estimator, mode="covariance", batch_size=16)
     kwargs.setdefault("top_index", 64)
     return ServingEstimator(sketcher, **kwargs)
 

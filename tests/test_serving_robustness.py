@@ -28,6 +28,7 @@ import pytest
 from repro.core.estimator import SketchEstimator
 from repro.covariance import InvalidBatchError
 from repro.covariance.pipeline import CovarianceSketcher
+from repro.distributed.shard import ShardSpec
 from repro.durability.breaker import CircuitBreaker, CircuitOpenError
 from repro.durability.faults import Flaky
 from repro.serving import ServingEstimator, SketchSnapshot
@@ -59,9 +60,7 @@ def _make_serving(rng, **kwargs) -> ServingEstimator:
     estimator = SketchEstimator(
         CountSketch(3, 512, seed=31), total_samples=1000, track_top=128
     )
-    sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=16
-    )
+    sketcher = CovarianceSketcher(DIM, estimator, mode="covariance", batch_size=16)
     serving = ServingEstimator(sketcher, top_index=64, cache_size=256, **kwargs)
     serving.ingest_sparse(_make_samples(64, rng))
     serving.refresh()
@@ -332,6 +331,32 @@ class TestStaleButAvailable:
         with pytest.raises(OSError):
             serving.ingest_sparse(_make_samples(4, rng))
         assert serving.breaker.state == "open"
+
+    @pytest.mark.parametrize("stack", ["memory", "durable", "windowed"])
+    def test_wrong_width_dense_batches_leave_the_breaker_closed(
+        self, stack, tmp_path, rng
+    ):
+        """Dense rows of the wrong width are the caller's fault too: six
+        such batches open nothing, and the next good batch lands."""
+        spec = ShardSpec(dim=20, total_samples=1000, num_tables=3, num_buckets=512)
+        durable = stack == "durable"
+        if durable:
+            serving = ServingEstimator.durable(tmp_path, spec)
+        elif stack == "windowed":
+            serving = ServingEstimator.windowed(spec, num_panes=2, pane_samples=32)
+        else:
+            serving = ServingEstimator(spec.build_sketcher())
+        try:
+            for _ in range(6):
+                with pytest.raises(InvalidBatchError, match=r"shape \(n, 20\)"):
+                    serving.ingest_dense(rng.standard_normal((4, 19)))
+            assert serving.breaker.state == "closed"
+            assert serving.breaker.stats()["consecutive_failures"] == 0
+            serving.ingest_dense(rng.standard_normal((4, 20)))
+            assert serving.sketcher.samples_seen == 4
+        finally:
+            if durable:
+                serving.sketcher.close()
 
     def test_a_refused_probe_frees_the_half_open_slot(self, rng):
         clock = [0.0]

@@ -31,9 +31,7 @@ def fitted_sketcher(rng):
     estimator = SketchEstimator(
         CountSketch(3, 2048, seed=9), total_samples=200, track_top=256
     )
-    sketcher = CovarianceSketcher(
-        DIM, estimator, mode="covariance", centering="none", batch_size=16
-    )
+    sketcher = CovarianceSketcher(DIM, estimator, mode="covariance", batch_size=16)
     sketcher.fit_sparse(iter(_make_samples(200, rng)))
     return sketcher
 

@@ -127,12 +127,45 @@ class TestWindowedServing:
             ring.window().estimator.sketch.query(probe),
         )
 
-    def test_dense_ingest_rejected(self, spec):
-        serving = ServingEstimator.windowed(
-            spec, num_panes=2, pane_samples=BATCH
+    @pytest.mark.parametrize("stack", ["memory", "durable", "windowed"])
+    def test_dense_rows_ingest_as_full_width_samples(self, stack, tmp_path, rng):
+        """Every write side, the window included, takes a dense row as the
+        sample ``(arange(d), row)``: the answers match bit for bit."""
+        dim = 40
+        spec = ShardSpec(
+            dim=dim,
+            total_samples=512,
+            batch_size=BATCH,
+            num_tables=3,
+            num_buckets=512,
+            seed=5,
+            mode="correlation",
+            track_top=64,
         )
-        with pytest.raises(NotImplementedError, match="sparse-only"):
-            serving.ingest_dense(np.zeros((2, DIM)))
+
+        def build(name):
+            if stack == "windowed":
+                return ServingEstimator.windowed(
+                    spec, num_panes=3, pane_samples=2 * BATCH
+                )
+            if stack == "durable":
+                return ServingEstimator.durable(tmp_path / name, spec)
+            return ServingEstimator(spec.build_sketcher())
+
+        dense, sparse = build("dense"), build("sparse")
+        rows = rng.standard_normal((5 * BATCH + 3, dim)) + 0.05
+        features = np.arange(dim)
+        for chunk in (rows[:20], rows[20:]):
+            dense.ingest_dense(chunk)
+            sparse.ingest_sparse([(features, row) for row in chunk])
+        dense.refresh()
+        sparse.refresh()
+        keys = np.arange(dim * (dim - 1) // 2)
+        got, want = dense.query_keys(keys), sparse.query_keys(keys)
+        assert got.tobytes() == want.tobytes()
+        if stack == "durable":
+            dense.sketcher.close()
+            sparse.sketcher.close()
 
 
 class TestWindowedHTTP:

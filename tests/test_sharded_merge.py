@@ -10,7 +10,7 @@ Property-based (seeded randomized) laws:
   equality.  A float-valued variant checks the regrouping error stays at
   the ulp level.
 * Top-k tracker merge — union + one re-query against the merged sketch.
-* Moments merge — exact accumulator sums (sparse) / Chan merge (dense).
+* Moments merge — exact accumulator sums.
 * ASCS end-to-end — merged top-k retrieval F1 stays within a stated
   tolerance of the unsharded run (the selection of accepted updates is
   shard-local, so this law is approximate by design; see
@@ -24,9 +24,9 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import ThresholdSchedule
-from repro.covariance.running import RunningMoments, SparseMoments
+from repro.covariance.running import SparseMoments
 from repro.distributed import fit_sparse_sharded, merge_shard_results, sketch_shard
-from repro.distributed.shard import ShardSpec
+from repro.distributed.shard import ShardSpec, extract_shard_result
 from repro.sketch.augmented import AugmentedSketch
 from repro.sketch.count_sketch import CountSketch
 from repro.sketch.topk import TopKTracker
@@ -158,23 +158,49 @@ class TestMomentsMergeLaw:
         np.testing.assert_array_equal(merged._sumsq, reference._sumsq)
         np.testing.assert_array_equal(merged.std(floor=1e-6), reference.std(floor=1e-6))
 
-    def test_running_moments_merge_matches_stream(self, rng):
-        data = rng.standard_normal((300, 16))
-        reference = RunningMoments(16)
-        reference.update(data)
-        left, right = RunningMoments(16), RunningMoments(16)
-        left.update(data[:120])
-        right.update(data[120:])
-        left.merge(right)
-        assert left.count == reference.count
-        np.testing.assert_allclose(left.mean, reference.mean, rtol=1e-12)
-        np.testing.assert_allclose(left.variance(), reference.variance(), rtol=1e-10)
-
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mergeable"):
             SparseMoments(4).merge(SparseMoments(5))
-        with pytest.raises(ValueError, match="mergeable"):
-            RunningMoments(4).merge(RunningMoments(5))
+
+
+class TestDenseShards:
+    """Dense rows are full-width samples: shards of them merge like any."""
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_dense_shards_merge_to_one_dense_fit(self, num_shards, rng):
+        spec = ShardSpec(
+            dim=30,
+            total_samples=256,
+            num_tables=3,
+            num_buckets=256,
+            seed=4,
+            batch_size=16,
+            track_top=32,
+        )
+        rows = rng.integers(-5, 6, size=(256, 30)).astype(np.float64)
+        bounds = np.linspace(0, 256, num_shards + 1).astype(int)
+        results = [
+            extract_shard_result(
+                spec.build_sketcher().fit_dense(rows[lo:hi]),
+                spec,
+                shard_index=k,
+                num_shards=num_shards,
+                start=int(lo),
+            )
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+        merged = merge_shard_results(results)
+        whole = spec.build_sketcher().fit_dense(rows)
+        assert merged.samples_seen == whole.samples_seen == 256
+        np.testing.assert_array_equal(
+            merged.estimator.sketch.table, whole.estimator.sketch.table
+        )
+        np.testing.assert_array_equal(
+            merged.sparse_moments._sum, whole.sparse_moments._sum
+        )
+        np.testing.assert_array_equal(
+            merged.sparse_moments._sumsq, whole.sparse_moments._sumsq
+        )
 
 
 def _sparse_block_stream(n, dim, rng, signal_pairs=6, rho=12.0):

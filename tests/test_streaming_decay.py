@@ -12,14 +12,14 @@ import pytest
 
 from repro.core.api import build_estimator, sketch_correlations
 from repro.covariance.pipeline import CovarianceSketcher
-from repro.covariance.running import RunningMoments, SparseMoments
+from repro.covariance.running import SparseMoments
 from repro.data.drift import AbruptShiftStream
 from repro.evaluation.metrics import max_f1_score
 from repro.hashing.pairs import pair_to_index
+from repro.obs import MetricsRegistry
 from repro.serving import ServingEstimator, SketchSnapshot
 from repro.sketch import CountSketch, DecayedSketch
 from repro.streaming import (
-    DecayedRunningMoments,
     DecayedSketchEstimator,
     DecayedSparseMoments,
     make_decaying_sketcher,
@@ -45,18 +45,6 @@ def _brute_decayed_stats(batches, gamma, dim):
 
 
 class TestDecayedMoments:
-    def test_running_matches_brute_force(self, rng):
-        gamma, dim = 0.9, 7
-        batches = [rng.standard_normal((rng.integers(1, 9), dim)) for _ in range(12)]
-        moments = DecayedRunningMoments(dim, gamma)
-        for batch, (weight, mean, var) in zip(
-            batches, _brute_decayed_stats(batches, gamma, dim)
-        ):
-            moments.update(batch)
-            assert moments.weight == pytest.approx(weight)
-            np.testing.assert_allclose(moments.mean, mean, atol=1e-12)
-            np.testing.assert_allclose(moments.variance(), var, atol=1e-12)
-
     def test_sparse_matches_brute_force(self, rng):
         gamma, dim = 0.8, 40
         moments = DecayedSparseMoments(dim, gamma)
@@ -85,18 +73,6 @@ class TestDecayedMoments:
 
     def test_gamma_one_matches_undecayed_trackers(self, rng):
         dim = 9
-        batches = [rng.standard_normal((8, dim)) for _ in range(6)]
-        decayed = DecayedRunningMoments(dim, 1.0)
-        plain = RunningMoments(dim)
-        for batch in batches:
-            decayed.update(batch)
-            plain.update(batch)
-        assert decayed.weight == plain.count
-        np.testing.assert_allclose(decayed.mean, plain.mean, atol=1e-12)
-        np.testing.assert_allclose(
-            decayed.variance(), plain.variance(), atol=1e-12
-        )
-
         sparse_decayed = DecayedSparseMoments(dim, 1.0)
         sparse_plain = SparseMoments(dim)
         idx = rng.integers(0, dim, size=50).astype(np.int64)
@@ -109,15 +85,67 @@ class TestDecayedMoments:
 
     def test_lazy_flush_invariance(self, rng):
         """Tiny scales trigger accumulator flushes without observable change."""
-        moments = DecayedRunningMoments(5, 0.5)
+        moments = DecayedSparseMoments(5, 0.5)
+        indices = np.tile(np.arange(5), 16)
         for _ in range(8):
-            moments.update(rng.standard_normal((16, 5)))  # 16 halvings/batch
+            # 16 halvings per batch of 16 full-width samples.
+            moments.update_batch(indices, rng.standard_normal(80), num_samples=16)
+        assert moments.flushes == 2  # the scale passes 2^-40 at 2^-48, twice
         assert np.isfinite(moments.mean).all()
         # Geometric sum 16 * (1 + 0.5^16 + 0.5^32 + ...) ≈ 16.000244.
         assert 16.0 < moments.weight < 16.001
 
+    def test_dense_rows_match_brute_force(self, rng):
+        """A decaying sketcher's one tracker ages by each batch's sample
+        count, dense rows included."""
+        gamma, dim, batch = 0.9, 12, 8
+        rows = rng.standard_normal((61, dim)) + 0.5
+        sketcher = make_decaying_sketcher(
+            dim, 64, gamma=gamma, num_buckets=256, batch_size=batch
+        )
+        sketcher.fit_dense(rows)
+        batches = [rows[i : i + batch] for i in range(0, rows.shape[0], batch)]
+        weight, mean, var = _brute_decayed_stats(batches, gamma, dim)[-1]
+        moments = sketcher.sparse_moments
+        assert moments.count == rows.shape[0]
+        assert moments.weight == pytest.approx(weight, rel=1e-12)
+        np.testing.assert_allclose(moments.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moments.variance(), var, rtol=0, atol=1e-12)
+
+    def test_flush_gauge_reads_the_one_tracker(self, rng):
+        registry = MetricsRegistry()
+        sketcher = make_decaying_sketcher(
+            5, 128, gamma=0.5, num_buckets=64, batch_size=16, registry=registry
+        )
+        sketcher.fit_dense(rng.standard_normal((128, 5)))
+        flushes = sketcher.sparse_moments.flushes
+        assert flushes == 2  # 2^-16 per batch passes 2^-40 at 2^-48, twice
+        assert registry.get("repro_decay_flushes").value == flushes
+
 
 class TestDecayedEstimator:
+    @pytest.mark.parametrize("mode", ["covariance", "correlation"])
+    def test_fit_dense_equals_full_width_samples(self, mode, rng):
+        dim = 16
+        rows = rng.standard_normal((70, dim))
+
+        def build():
+            return make_decaying_sketcher(
+                dim, 128, gamma=0.97, num_buckets=512, batch_size=16, mode=mode
+            )
+
+        dense, sparse = build(), build()
+        dense.fit_dense(rows)
+        sparse.fit_sparse([(np.arange(dim), row) for row in rows])
+        keys = np.arange(dim * (dim - 1) // 2)
+        assert dense.estimate_keys(keys).tobytes() == sparse.estimate_keys(
+            keys
+        ).tobytes()
+        assert dense.sparse_moments.weight == sparse.sparse_moments.weight
+        np.testing.assert_array_equal(
+            dense.sparse_moments.mean, sparse.sparse_moments.mean
+        )
+
     def test_estimates_are_decayed_means(self):
         """On collision-free keys the estimate equals the decayed mean."""
         gamma = 0.5
@@ -192,7 +220,6 @@ class TestDriftRecovery:
             dim,
             build_estimator("cs", n, 5, 2048, seed=3, track_top=256),
             mode="correlation",
-            centering="none",
             batch_size=32,
         )
         baseline.fit_dense(data)
@@ -294,19 +321,6 @@ class TestFlushBoundary:
         # reference exactly — the flush is invisible to estimates.
         assert m.flushes == 1
         assert m._scale == 1.0
-
-    def test_dense_moments_same_boundary(self):
-        rng = np.random.default_rng(11)
-        rows = rng.integers(-3, 4, size=(41, 1)).astype(np.float64)
-        m = DecayedRunningMoments(1, gamma=self.GAMMA)
-        for k, row in enumerate(rows, start=1):
-            m.update(row.reshape(1, 1))
-            assert m.flushes == (1 if k >= 41 else 0)
-        total, total_sq, weight = self._reference(rows[:, 0], self.GAMMA)
-        assert m.weight == weight
-        assert m.mean[0] == total / weight
-        mean = total / weight
-        assert m.variance()[0] == max(total_sq / weight - mean * mean, 0.0)
 
     def test_batch_landing_exactly_on_boundary_in_one_age(self):
         # A single 40-sample age lands on the bound in one multiplication

@@ -1,15 +1,18 @@
-"""Tests for pair-product updates and the section-4 adjustment term."""
+"""Tests for pair-product updates (repro.covariance.updates)."""
 
 import numpy as np
 import pytest
 
-from repro.covariance.running import ExactCovariance, RunningMoments
 from repro.covariance.updates import (
-    adjustment_matrix,
+    InvalidBatchError,
     aggregate_pair_updates,
     dense_batch_products,
+    dense_rows_as_samples,
+    sparse_batch_pairs,
     sparse_sample_pairs,
     triu_pair_values,
+    union_pair_keys,
+    validate_sparse_batch,
 )
 from repro.hashing.pairs import pair_to_index
 
@@ -42,58 +45,92 @@ class TestDenseBatchProducts:
             manual += triu_pair_values(np.outer(row, row))
         np.testing.assert_allclose(got, manual, atol=1e-10)
 
-    def test_centering(self, rng):
-        batch = rng.standard_normal((7, 5)) + 10
-        center = np.full(5, 10.0)
-        got = dense_batch_products(batch, center=center)
-        manual = dense_batch_products(batch - center)
-        np.testing.assert_allclose(got, manual, atol=1e-10)
-
     def test_single_row(self, rng):
         row = rng.standard_normal(4)
         got = dense_batch_products(row)
         np.testing.assert_allclose(got, triu_pair_values(np.outer(row, row)))
 
 
-class TestAdjustmentTerm:
-    def test_keeps_exact_centered_sums(self, rng):
-        """The core claim of section 4: per-sample centered products plus
-        the adjustment equal the exactly centered co-moment at every t."""
-        d = 6
-        data = rng.standard_normal((40, d)) + rng.standard_normal(d)
-        moments = RunningMoments(d)
-        exact = ExactCovariance(d)
-        accumulated = np.zeros(d * (d - 1) // 2)
-        for t, row in enumerate(data, start=1):
-            mean_old = moments.mean
-            moments.update(row[None, :])
-            mean_new = moments.mean
-            centered = row - mean_new
-            accumulated += triu_pair_values(np.outer(centered, centered))
-            accumulated += adjustment_matrix(mean_old, mean_new, t - 1)
-            exact.update(row[None, :])
-            expected = triu_pair_values(exact.covariance() * t)
-            np.testing.assert_allclose(accumulated, expected, atol=1e-8)
+class TestUnionPairKeys:
+    def test_full_cover_is_every_key_in_order(self):
+        d = 9
+        np.testing.assert_array_equal(
+            union_pair_keys(np.arange(d), d), np.arange(d * (d - 1) // 2)
+        )
 
-    def test_adjustment_vanishes_for_stable_mean(self):
-        d = 4
-        mean = np.ones(d)
-        adj = adjustment_matrix(mean, mean, 10)
-        np.testing.assert_allclose(adj, 0.0, atol=1e-15)
+    def test_aligned_with_products_over_the_union(self, rng):
+        d = 50
+        union = np.array([2, 7, 8, 31, 49])
+        block = rng.standard_normal((4, union.size))
+        keys = union_pair_keys(union, d)
+        rows, cols = np.triu_indices(union.size, k=1)
+        np.testing.assert_array_equal(
+            keys, pair_to_index(union[rows], union[cols], d)
+        )
+        full = np.zeros((4, d))
+        full[:, union] = block
+        np.testing.assert_allclose(
+            dense_batch_products(block),
+            dense_batch_products(full)[keys],
+            rtol=0,
+            atol=1e-12,
+        )
 
-    def test_adjustment_shrinks_with_t(self, rng):
-        """Section 4: 'when t is large enough, the adjustment is very small'."""
-        d = 5
-        data = rng.standard_normal((3000, d))
-        moments = RunningMoments(d)
-        norms = []
-        for t, row in enumerate(data, start=1):
-            mean_old = moments.mean
-            moments.update(row[None, :])
-            if t in (10, 3000):
-                adj = adjustment_matrix(mean_old, moments.mean, t - 1)
-                norms.append(np.abs(adj).max())
-        assert norms[1] < norms[0]
+
+class TestDenseRowsAsSamples:
+    def test_each_row_becomes_a_full_width_sample(self, rng):
+        rows = rng.standard_normal((5, 7))
+        samples = dense_rows_as_samples(rows, 7)
+        assert len(samples) == 5
+        for (features, values), row in zip(samples, rows):
+            assert features.dtype == np.int64
+            np.testing.assert_array_equal(features, np.arange(7))
+            np.testing.assert_array_equal(values, row)
+
+    def test_samples_share_one_index_array(self, rng):
+        samples = dense_rows_as_samples(rng.standard_normal((3, 4)), 4)
+        assert all(features is samples[0][0] for features, _ in samples)
+
+    def test_one_row_is_a_batch_of_one(self, rng):
+        row = rng.standard_normal(6)
+        [(features, values)] = dense_rows_as_samples(row, 6)
+        np.testing.assert_array_equal(features, np.arange(6))
+        np.testing.assert_array_equal(values, row)
+
+    def test_integer_rows_become_float64(self):
+        [(_, values)] = dense_rows_as_samples(np.array([[1, 2, 3]]), 3)
+        assert values.dtype == np.float64
+        np.testing.assert_array_equal(values, [1.0, 2.0, 3.0])
+
+    def test_no_rows_are_no_samples(self):
+        assert dense_rows_as_samples(np.empty((0, 5)), 5) == []
+
+    @pytest.mark.parametrize("shape", [(4, 19), (4, 21), (2, 4, 20)])
+    def test_any_other_shape_is_an_invalid_batch(self, shape):
+        with pytest.raises(InvalidBatchError, match=r"expected shape \(n, 20\)"):
+            dense_rows_as_samples(np.ones(shape), 20)
+        assert issubclass(InvalidBatchError, ValueError)
+
+    def test_non_finite_values_are_refused_with_the_batch(self, rng):
+        rows = rng.standard_normal((3, 4))
+        rows[2, 1] = np.nan
+        samples = dense_rows_as_samples(rows, 4)
+        with pytest.raises(InvalidBatchError, match="finite"):
+            validate_sparse_batch(samples, 4)
+
+    def test_expanded_pairs_sum_to_the_dense_products(self, rng):
+        d = 8
+        rows = rng.standard_normal((6, d))
+        indices, values, lengths = validate_sparse_batch(
+            dense_rows_as_samples(rows, d), d
+        )
+        np.testing.assert_array_equal(lengths, np.full(6, d))
+        expanded_keys, expanded = sparse_batch_pairs(indices, values, lengths, d)
+        keys, products = aggregate_pair_updates([expanded_keys], [expanded])
+        np.testing.assert_array_equal(keys, np.arange(d * (d - 1) // 2))
+        np.testing.assert_allclose(
+            products, dense_batch_products(rows), rtol=0, atol=1e-12
+        )
 
 
 class TestSparseSamplePairs:
