@@ -36,6 +36,7 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from registry import BenchSuite, register
+from timing import best_seconds
 from repro.core.api import build_estimator
 from repro.core.estimator import SketchEstimator
 from repro.covariance.pipeline import CovarianceSketcher
@@ -71,7 +72,7 @@ def _bench_quantized_f1(smoke: bool) -> tuple[list[dict], dict]:
     data = stream.generate()
     truth_now = stream.signal_pairs_at(n - 1)
 
-    def fit(storage, quantum):
+    def sketcher(storage, quantum):
         est = build_estimator(
             "cs",
             n,
@@ -82,25 +83,36 @@ def _bench_quantized_f1(smoke: bool) -> tuple[list[dict], dict]:
             storage=storage,
             quantum=quantum,
         )
-        sketcher = CovarianceSketcher(
-            dim, est, mode="correlation", batch_size=BATCH_SIZE
-        )
-        t0 = time.perf_counter()
-        sketcher.fit_dense(data)
-        seconds = time.perf_counter() - t0
-        i, j, _ = sketcher.top_pairs(truth_now.size)
+        return CovarianceSketcher(dim, est, mode="correlation", batch_size=BATCH_SIZE)
+
+    # Both tiers timed in pairs, each call a fresh sketcher's fit: a
+    # refit of the same sketcher would double its counters and could
+    # promote the int16 table.
+    trials = 3 if smoke else 5
+    wide_seconds, narrow_seconds = best_seconds(
+        (lambda: ("float64", None), lambda tier: sketcher(*tier).fit_dense(data)),
+        (lambda: ("int16", QUANTUM), lambda tier: sketcher(*tier).fit_dense(data)),
+        trials=trials,
+        inner=1,
+    )
+
+    def fit(storage, quantum, seconds):
+        fitted = sketcher(storage, quantum).fit_dense(data)
+        i, j, _ = fitted.top_pairs(truth_now.size)
         keys = pair_to_index(i, j, dim)
+        est = fitted.estimator
         return {
             "storage": storage,
             "f1": float(max_f1_score(keys, truth_now)),
             "fit_seconds": seconds,
+            "trials": trials,
             "bytes_per_counter": est.sketch.memory_bytes / est.sketch.memory_floats,
             "memory_bytes": int(est.sketch.memory_bytes),
             "final_dtype": str(est.sketch.storage_dtype),
         }
 
-    wide = fit("float64", None)
-    narrow = fit("int16", QUANTUM)
+    wide = fit("float64", None, wide_seconds)
+    narrow = fit("int16", QUANTUM, narrow_seconds)
     capacity = plan(dim, narrow["memory_bytes"] / (1 << 20), num_tables=NUM_TABLES)
 
     records = [

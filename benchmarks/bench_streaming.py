@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from registry import BenchSuite, register
+from timing import best_seconds
 from repro.core.api import build_estimator
 from repro.covariance.pipeline import CovarianceSketcher
 from repro.data.drift import AbruptShiftStream
@@ -147,38 +148,49 @@ def _bench_drift_f1(smoke: bool) -> tuple[list[dict], dict]:
     truth_now = stream.signal_pairs_at(n - 1)
     half_life = n / 16
 
-    def top_f1(sketcher, seconds):
-        i, j, _ = sketcher.top_pairs(truth_now.size)
+    def baseline():
+        return CovarianceSketcher(
+            dim,
+            build_estimator(
+                "cs", n, NUM_TABLES, memory // NUM_TABLES, seed=3, track_top=256
+            ),
+            mode="correlation",
+            batch_size=BATCH_SIZE,
+        )
+
+    def decayed():
+        return make_decaying_sketcher(
+            dim,
+            n,
+            gamma=decay_from_half_life(half_life),
+            num_tables=NUM_TABLES,
+            num_buckets=memory // NUM_TABLES,
+            seed=3,
+            mode="correlation",
+            batch_size=BATCH_SIZE,
+            track_top=256,
+        )
+
+    # Both arms timed in pairs, each call a fresh sketcher's fit.
+    trials = 3 if smoke else 5
+    base_seconds, dec_seconds = best_seconds(
+        (lambda: baseline, lambda make: make().fit_dense(data)),
+        (lambda: decayed, lambda make: make().fit_dense(data)),
+        trials=trials,
+        inner=1,
+    )
+
+    def fit_f1(make, seconds):
+        i, j, _ = make().fit_dense(data).top_pairs(truth_now.size)
         keys = pair_to_index(i, j, dim)
         return {
             "f1": float(max_f1_score(keys, truth_now)),
             "fit_seconds": seconds,
+            "trials": trials,
         }
 
-    baseline = CovarianceSketcher(
-        dim,
-        build_estimator("cs", n, NUM_TABLES, memory // NUM_TABLES, seed=3, track_top=256),
-        mode="correlation",
-        batch_size=BATCH_SIZE,
-    )
-    t0 = time.perf_counter()
-    baseline.fit_dense(data)
-    base = top_f1(baseline, time.perf_counter() - t0)
-
-    decayed = make_decaying_sketcher(
-        dim,
-        n,
-        gamma=decay_from_half_life(half_life),
-        num_tables=NUM_TABLES,
-        num_buckets=memory // NUM_TABLES,
-        seed=3,
-        mode="correlation",
-        batch_size=BATCH_SIZE,
-        track_top=256,
-    )
-    t0 = time.perf_counter()
-    decayed.fit_dense(data)
-    dec = top_f1(decayed, time.perf_counter() - t0)
+    base = fit_f1(baseline, base_seconds)
+    dec = fit_f1(decayed, dec_seconds)
 
     records = [
         {"op": "drift_f1_baseline", "dim": dim, "samples": n, **base},

@@ -143,12 +143,13 @@ class CovarianceSketcher:
         """Stream dense ``(n, d)`` rows through :meth:`fit_sparse`.
 
         Each row is the sample ``(arange(d), row)``, so a batch of rows
-        takes the GEMM route over the whole feature set.  The rows form a
-        list, so a non-finite value anywhere refuses them all before any
-        batch is applied; a wrong shape raises
-        :class:`~repro.covariance.InvalidBatchError`.
+        takes the GEMM route over the whole feature set.  A wrong shape or
+        a non-finite value anywhere raises
+        :class:`~repro.covariance.InvalidBatchError` before any batch is
+        applied; the checked rows then go in batch by batch, so no second
+        copy of the array is held.
         """
-        return self.fit_sparse(dense_rows_as_samples(data, self.dim))
+        return self.fit_sparse(iter(dense_rows_as_samples(data, self.dim)))
 
     def fit_sparse(
         self,

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.hashing.pairs import pair_to_index
+from repro.hashing.pairs import _check_dimension, _row_offset, pair_to_index
 
 __all__ = [
     "triu_pair_values",
@@ -125,10 +125,15 @@ def sparse_batch_pairs(
     two samples share its pair; nothing here sums repeats.
 
     The expansion works on the per-sample-sorted arrays: the element at
-    local position ``a`` of a sample with ``m`` non-zeros is the row of
-    ``m - 1 - a`` upper-triangle pairs, so ``np.repeat`` with those counts
-    lays out all rows, and a cumulative block-offset subtraction yields the
-    matching column positions.
+    position ``a`` of a sample ending before position ``e`` is the row of
+    the ``e - 1 - a`` pairs ``(a, b)``, ``a < b < e``.  A pair's key is
+    ``start[a] + idx[b]`` with ``start = key(i, i + 1) - i - 1`` computed
+    once per non-zero (the identity :func:`union_pair_keys` uses), so
+    ``np.repeat`` with those counts lays out the row side of every key and
+    product, and a cumulative block-offset subtraction yields the column
+    positions.  :func:`repro.hashing.pair_to_index`'s refusals are checked
+    on the non-zeros of the samples that form a pair: an index outside
+    ``[0, dim)`` or repeated within its sample raises ``ValueError``.
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -145,7 +150,8 @@ def sparse_batch_pairs(
 
     # Sort indices *within* each sample (stable, matching the per-sample
     # argsort of sparse_sample_pairs); samples that already ascend are
-    # their own sorted order.
+    # their own sorted order, and repeat no index.
+    sample_id = None
     if _samples_ascend(indices, lengths):
         idx, val = indices, values
     else:
@@ -154,20 +160,32 @@ def sparse_batch_pairs(
         idx = indices[order]
         val = values[order]
 
-    starts = np.cumsum(lengths) - lengths  # first slot of each sample
-    m_of = np.repeat(lengths, lengths)  # sample size, per element
-    local = np.arange(idx.size, dtype=np.int64) - np.repeat(starts, lengths)
-    reps = m_of - 1 - local  # pairs rowed by this element
+    position = np.arange(idx.size, dtype=np.int64)
+    reps = np.repeat(np.cumsum(lengths), lengths) - 1 - position
     num_out = int(reps.sum())
     if num_out == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
-    rows = np.repeat(np.arange(idx.size, dtype=np.int64), reps)
+    _check_dimension(dim)
+    paired = idx[np.repeat(lengths, lengths) > 1]
+    if (
+        paired.min() < 0
+        or paired.max() >= dim
+        or (
+            sample_id is not None
+            and ((idx[1:] == idx[:-1]) & (sample_id[1:] == sample_id[:-1])).any()
+        )
+    ):
+        raise ValueError("pair indices must satisfy 0 <= i < j < d")
+
     block_starts = np.cumsum(reps) - reps
-    cols = np.arange(num_out, dtype=np.int64) - np.repeat(block_starts, reps)
-    cols += rows + 1
-    keys = pair_to_index(idx[rows], idx[cols], dim)
-    return keys, val[rows] * val[cols]
+    cols = np.arange(num_out, dtype=np.int64)
+    cols -= np.repeat(block_starts - position - 1, reps)
+    keys = np.repeat(_row_offset(idx, dim) - idx - 1, reps)
+    keys += idx[cols]
+    products = np.repeat(val, reps)
+    products *= val[cols]
+    return keys, products
 
 
 def _samples_ascend(indices: np.ndarray, lengths: np.ndarray) -> bool:
@@ -238,12 +256,18 @@ def dense_rows_as_samples(rows, dim: int) -> list[tuple[np.ndarray, np.ndarray]]
     Each row becomes ``(arange(dim), row)``, all sharing one index array,
     so every writer takes dense rows through its own ``fit_sparse``; such a
     batch takes the GEMM route over the full feature set.  Raises
-    :class:`InvalidBatchError` on any other shape; values are checked with
-    the rest of the batch by :func:`validate_sparse_batch`.
+    :class:`InvalidBatchError` on any other shape or on a non-finite value
+    anywhere, before any sample exists, so a writer can apply the samples
+    batch by batch and still refuse all of them or none.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise InvalidBatchError(f"expected shape (n, {dim}), got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InvalidBatchError(
+            "dense rows must be finite; send a row with a missing feature "
+            "as a sparse sample without it"
+        )
     features = np.arange(dim, dtype=np.int64)
     return [(features, row) for row in rows]
 

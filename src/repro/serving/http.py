@@ -191,7 +191,6 @@ class _Handler(BaseHTTPRequestHandler):
         self, payload, status: int = 200, headers: dict | None = None
     ) -> None:
         self._drain_body()
-        self._last_status = status
         if isinstance(payload, _TextResponse):
             body = payload.body.encode("utf-8")
             content_type = payload.content_type
@@ -208,6 +207,9 @@ class _Handler(BaseHTTPRequestHandler):
         # One write for the blank line and the body too: a body written
         # after the headers waits for the client's delayed ACK of them.
         self._headers_buffer.extend((b"\r\n", body))
+        # Counted before the write, so a client holding this reply finds
+        # it in /stats and /metrics.
+        self.server._count_request(self._route_label, status)
         self.flush_headers()
 
     def _param(self, query: dict, name: str, cast, default=_REQUIRED):
@@ -269,14 +271,16 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urllib.parse.urlsplit(self.path)
         query = urllib.parse.parse_qs(parsed.query)
         self._body_remaining = 0
-        self._last_status = 0
         route_key = (method, parsed.path)
+        # Known routes get their own count and latency series; everything
+        # else is pooled under "other" so junk paths cannot explode
+        # cardinality.
         route = parsed.path if route_key in server.routes else "other"
+        self._route_label = f"{method} {route}"
         try:
             self._body_remaining = self._content_length()
         except _HTTPError as exc:
             self._reply({"error": str(exc)}, status=exc.status)
-            server._count_request(method, route, self._last_status)
             return
         # Admission control: shed excess load with 503 + Retry-After
         # instead of queueing unboundedly.  /health and /metrics bypass
@@ -290,10 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status=503,
                 headers={"Retry-After": server._retry_after_header()},
             )
-            server._count_request(method, route, self._last_status)
             return
-        # Known routes get their own latency series; everything else is
-        # pooled under "other" so junk paths cannot explode cardinality.
         hist = server._route_hists.get(route_key, server._other_hist)
         server._inflight.inc()
         started = time.perf_counter()
@@ -328,7 +329,6 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             server._inflight.dec()
             hist.observe(time.perf_counter() - started)
-            server._count_request(method, route, self._last_status)
             if gated:
                 server._release()
 
@@ -699,11 +699,11 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def _retry_after_header(self) -> int:
         return max(1, math.ceil(self.retry_after))
 
-    def _count_request(self, method: str, route: str, status: int) -> None:
+    def _count_request(self, route_label: str, status: int) -> None:
         self.registry.counter(
             "repro_http_requests_total",
             "requests answered by route and status code",
-            labels={"route": f"{method} {route}", "code": str(status)},
+            labels={"route": route_label, "code": str(status)},
         ).inc()
 
     # ------------------------------------------------------------------

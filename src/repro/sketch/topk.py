@@ -11,12 +11,12 @@ cannot leak into the ranking.
 The pool is array-backed: ``offer`` appends whole batches into preallocated
 key/estimate buffers with two slice assignments (no per-key Python loop).
 Duplicates are tolerated in the buffer and resolved lazily by a *compaction*
-pass — ``np.unique`` keyed dedup that keeps each key's **latest** estimate
-while preserving first-insertion order, which reproduces dict-update
-semantics exactly.  When the compacted pool exceeds ``capacity * slack`` it
-is cut back to the ``capacity`` entries with the largest current estimates.
-Amortised cost is O(batch) numpy work per offer, with no Python-level
-iteration anywhere.
+pass — one stable key sort, then O(n) scatters that keep each key's
+**latest** estimate while preserving first-insertion order, which
+reproduces dict-update semantics exactly.  When the compacted pool exceeds
+``capacity * slack`` it is cut back to the ``capacity`` entries with the
+largest current estimates.  Amortised cost is O(batch) numpy work per
+offer, with no Python-level iteration anywhere.
 """
 
 from __future__ import annotations
@@ -163,11 +163,13 @@ class TopKTracker:
         last_flag = np.empty(n, dtype=bool)
         last_flag[-1] = True
         last_flag[:-1] = first_flag[1:]
-        first_idx = order[first_flag]
-        last_idx = order[last_flag]
-        insertion_order = np.argsort(first_idx, kind="stable")
-        self._keys[:num_unique] = keys[first_idx[insertion_order]]
-        self._ests[:num_unique] = self._ests[:n][last_idx[insertion_order]]
+        # Each key's first slot points at its last; read in buffer order,
+        # the first slots are the distinct keys in first-insertion order.
+        latest = np.full(n, -1, dtype=np.int64)
+        latest[order[first_flag]] = order[last_flag]
+        firsts = np.flatnonzero(latest >= 0)
+        self._keys[:num_unique] = keys[firsts]
+        self._ests[:num_unique] = self._ests[:n][latest[firsts]]
         self._size = num_unique
 
     def _prune(self) -> None:

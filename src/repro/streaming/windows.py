@@ -273,8 +273,13 @@ class PaneRing:
         return self
 
     def fit_dense(self, batch) -> "PaneRing":
-        """Ingest dense rows as samples that observe every feature."""
-        return self.fit_sparse(dense_rows_as_samples(batch, self.spec.dim))
+        """Ingest dense rows as samples that observe every feature.
+
+        The rows are checked whole first, so a bad one refuses them all
+        before any pane fills or rotates.
+        """
+        self.ingest(dense_rows_as_samples(batch, self.spec.dim))
+        return self
 
     def rotate(self) -> ShardResult | None:
         """Close the open pane into an immutable :class:`ShardResult`.

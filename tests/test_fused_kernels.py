@@ -15,6 +15,7 @@ from repro.core.estimator import SketchEstimator
 from repro.core.schedule import ThresholdSchedule
 from repro.covariance.updates import sparse_batch_pairs, sparse_sample_pairs
 from repro.hashing.families import MultiplyShiftHash, MultiTableHasher, SignHash
+from repro.hashing.pairs import MAX_DIMENSION, pair_to_index
 from repro.reference import (
     LegacyCountSketch,
     LegacyTopKTracker,
@@ -371,6 +372,33 @@ class TestTrackerEquivalence:
         np.testing.assert_array_equal(fk, lk)
         np.testing.assert_array_equal(fe, le)
 
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_narrow_shaped_offers_with_heavy_ties_identical(self, two_sided, rng):
+        """Offers shaped like ``ingest_narrow``'s: 32 strictly ascending
+        runs of ~900 keys into a 300-key pool, so every offer compacts and
+        prunes.  Estimates are a few multiples of 1/8192, as binary rows
+        give, so ranks tie heavily; some are NaN.  The pool must match the
+        dict after every offer, in insertion order and in rank order."""
+        fused = TopKTracker(300, two_sided=two_sided)
+        legacy = LegacyTopKTracker(300, two_sided=two_sided)
+        for _ in range(12):
+            keys = np.concatenate(
+                [
+                    np.sort(rng.choice(20_000, size=int(m), replace=False))
+                    for m in rng.integers(850, 950, size=32)
+                ]
+            )
+            ests = rng.integers(-3, 8, size=keys.size) / 8192
+            ests[rng.random(keys.size) < 0.01] = np.nan
+            fused.offer(keys, ests)
+            legacy.offer(keys, ests)
+            assert len(fused) == len(legacy)
+            np.testing.assert_array_equal(fused.candidates(), legacy.candidates())
+            fk, fe = fused.top_k(len(legacy))
+            lk, le = legacy.top_k(len(legacy))
+            np.testing.assert_array_equal(fk, lk)
+            assert fe.tobytes() == le.tobytes()
+
     def test_requery_against_sketch_identical(self, rng):
         sketch = CountSketch(5, 1024, seed=6)
         keys = rng.integers(0, 10**9, size=500)
@@ -489,6 +517,69 @@ class TestSparseBatchPairs:
         )
         np.testing.assert_array_equal(fused[0], reshuffled[0])
         np.testing.assert_array_equal(fused[1], reshuffled[1])
+
+    def test_unsorted_samples_of_every_length_match_loop(self, rng):
+        """Samples of 0 and 1 non-zeros between unsorted longer ones."""
+        dim = 10_000
+        lengths = np.array([0, 5, 1, 0, 9, 1, 2, 0, 30, 1], dtype=np.int64)
+        indices = np.concatenate(
+            [rng.choice(dim, size=m, replace=False) for m in lengths]
+        ).astype(np.int64)
+        values = rng.standard_normal(indices.size)
+        fused = sparse_batch_pairs(indices, values, lengths, dim)
+        legacy = legacy_sparse_batch_pairs(indices, values, lengths, dim)
+        np.testing.assert_array_equal(fused[0], legacy[0])
+        assert fused[1].tobytes() == legacy[1].tobytes()
+
+    def test_largest_dimension_matches_loop(self, rng):
+        """Indices next to ``MAX_DIMENSION - 1``: the int64 key arithmetic
+        at its widest."""
+        dim = MAX_DIMENSION
+        near_end = dim - 1 - rng.choice(64, size=24, replace=False)
+        indices = np.concatenate([near_end, [0, dim - 2, dim - 1]]).astype(np.int64)
+        values = rng.standard_normal(indices.size)
+        lengths = np.array([10, 14, 3], dtype=np.int64)
+        fused = sparse_batch_pairs(indices, values, lengths, dim)
+        legacy = legacy_sparse_batch_pairs(indices, values, lengths, dim)
+        np.testing.assert_array_equal(fused[0], legacy[0])
+        assert fused[1].tobytes() == legacy[1].tobytes()
+        assert fused[0].max() == dim * (dim - 1) // 2 - 1
+
+    @pytest.mark.parametrize(
+        "indices, lengths",
+        [
+            ([3, 100], [2]),  # an index >= d in a 2-element sample
+            ([5, 9, 2, 400], [2, 2]),  # ... in the second of two samples
+            ([4, -1, 7], [3]),  # a negative index
+            ([8, 3, 8], [3]),  # an index repeated in an unsorted sample
+            ([1, 2, 2, 6], [1, 3]),  # ... repeated among ascending ones
+        ],
+    )
+    def test_refusals_match_pair_to_index(self, indices, lengths):
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.ones(indices.size)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        for expand in (sparse_batch_pairs, legacy_sparse_batch_pairs):
+            with pytest.raises(ValueError, match=r"0 <= i < j < d"):
+                expand(indices, values, lengths, 100)
+
+    def test_dimension_past_the_maximum_is_refused(self):
+        indices = np.array([0, 1], dtype=np.int64)
+        lengths = np.array([2], dtype=np.int64)
+        for expand in (sparse_batch_pairs, legacy_sparse_batch_pairs):
+            with pytest.raises(ValueError, match="MAX_DIMENSION"):
+                expand(indices, np.ones(2), lengths, MAX_DIMENSION + 1)
+
+    def test_a_one_element_sample_forms_no_pair_to_refuse(self):
+        """An index out of range in a sample of one non-zero forms no pair,
+        so nothing checks it (as ``pair_to_index`` never saw it)."""
+        indices = np.array([500, -3, 2, 7], dtype=np.int64)
+        values = np.arange(1.0, 5.0)
+        lengths = np.array([1, 1, 2], dtype=np.int64)
+        for expand in (sparse_batch_pairs, legacy_sparse_batch_pairs):
+            keys, products = expand(indices, values, lengths, 100)
+            assert keys.tolist() == [pair_to_index(2, 7, 100)]
+            assert products.tolist() == [12.0]
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="lengths"):

@@ -1,5 +1,7 @@
 """Tests for the streaming pipeline (repro.covariance.pipeline)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,6 +209,37 @@ class TestOneIngestPath:
         assert sketcher.samples_seen == 1
         assert sketcher.sparse_moments.count == 1
         np.testing.assert_array_equal(sketcher.sparse_moments.mean, row)
+
+    @pytest.mark.parametrize("method", ["cs", "ascs"])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_a_non_finite_last_row_refuses_every_row(self, method, bad_value, rng):
+        """The rows go in batch by batch, but the check covers them all
+        first: the bad last row refuses the seven batches before it."""
+        spec = _spec(method)
+        sketcher = spec.build_sketcher().fit_dense(_rows(rng)[:32])
+        before = _state(sketcher)
+        rows = _rows(rng)
+        rows[-1, -1] = bad_value
+        with pytest.raises(InvalidBatchError, match="finite"):
+            sketcher.fit_dense(rows)
+        assert _state(sketcher) == before
+
+    def test_fit_dense_holds_no_second_copy_of_its_rows(self, rng):
+        """Checked whole, then applied batch by batch: the fit's peak
+        allocation stays well under the size of the rows themselves."""
+        n, d = 5000, 200
+        rows = rng.standard_normal((n, d))
+        sketcher = CovarianceSketcher(
+            d, make_estimator(n + 32, tables=3, buckets=1024), mode="covariance"
+        )
+        sketcher.fit_dense(rows[:32])  # builds the full-width key cache
+        tracemalloc.start()
+        try:
+            sketcher.fit_dense(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 2
 
     def test_moments_are_the_rows_moments(self, rng):
         """The one tracker a sketcher keeps sees every dense row."""

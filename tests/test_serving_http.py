@@ -531,14 +531,12 @@ class TestObservabilityEndpoints:
     def test_client_metrics_returns_raw_text(self, serving_server):
         _, _, client = serving_server
         client.pair(0, 1)
+        # The server counts a request before its reply leaves, so the
+        # scrape already holds the /pair count.
         text = client.metrics()
-        # The server counts a request after its reply is sent, so the scrape
-        # can outrun the /pair thread's first count: poll, bounded.
-        deadline = time.monotonic() + 5.0
-        while "repro_http_requests_total" not in text and time.monotonic() < deadline:
-            text = client.metrics()
         assert isinstance(text, str)
         assert "# TYPE repro_http_requests_total counter" in text
+        assert 'repro_http_requests_total{code="200",route="GET /pair"} 1' in text
         assert "# TYPE repro_http_rejected_total counter" in text
 
     def test_requests_counted_by_route_and_code(self, serving_server):

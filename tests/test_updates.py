@@ -114,9 +114,10 @@ class TestDenseRowsAsSamples:
     def test_non_finite_values_are_refused_with_the_batch(self, rng):
         rows = rng.standard_normal((3, 4))
         rows[2, 1] = np.nan
-        samples = dense_rows_as_samples(rows, 4)
+        # Checked whole before any sample exists, so a writer that applies
+        # the samples batch by batch still refuses all of them.
         with pytest.raises(InvalidBatchError, match="finite"):
-            validate_sparse_batch(samples, 4)
+            dense_rows_as_samples(rows, 4)
 
     def test_expanded_pairs_sum_to_the_dense_products(self, rng):
         d = 8
